@@ -36,8 +36,7 @@ object ExactSummarizer {
                 lowerBound: Option[Speech] = None,
                 deadlineNanos: Option[Long] = None,
                 maxPartial: Int = 2_000_000): Result = {
-    val rel = index.rel
-    val dev0 = rel.rows.map(r => math.abs(prior - r.target))
+    val dev0 = index.priorDeviations(prior)
     val baseError = dev0.sum
     val k = index.numFacts
     val fallback = lowerBound.getOrElse(Speech(IndexedSeq.empty, 0.0))
@@ -45,20 +44,9 @@ object ExactSummarizer {
 
     def expired: Boolean = deadlineNanos.exists(System.nanoTime() > _)
 
-    // Line 6: single-fact utilities via one fact–row pass.
+    // Line 6: single-fact utilities, one utility pass per fact group.
     val u1 = new Array[Double](k)
-    var ri = 0
-    while (ri < rel.numRows) {
-      val r = rel.rows(ri)
-      var pi = 0
-      while (pi < index.numPatterns) {
-        val fid = index.factIdFor(pi, r)
-        val g = dev0(ri) - math.abs(index.facts(fid).typical - r.target)
-        if (g > 0) u1(fid) += g
-        pi += 1
-      }
-      ri += 1
-    }
+    (0 until index.numPatterns).foreach(index.gains(_, dev0, u1))
 
     // Canonical rank: by single-fact utility desc, id asc.
     val ranked: Array[Int] = Array.range(0, k).sortBy(fid => (-u1(fid), fid))
@@ -108,24 +96,9 @@ object ExactSummarizer {
     var bestU = b
     var si = 0
     while (si < frontier.length && !aborted) {
-      val facts = frontier(si).ranks.map(r => index.facts(ranked(r)))
-      var u = 0.0
-      var rj = 0
-      while (rj < rel.numRows) {
-        val r = rel.rows(rj)
-        var dev = dev0(rj)
-        var fi = 0
-        while (fi < facts.length) {
-          if (facts(fi).inScope(r)) {
-            val d = math.abs(facts(fi).typical - r.target)
-            if (d < dev) dev = d
-          }
-          fi += 1
-        }
-        u += dev0(rj) - dev
-        rj += 1
-      }
-      if (u > bestU) { bestU = u; bestFacts = facts.toIndexedSeq }
+      val fids = frontier(si).ranks.map(ranked)
+      val u = index.utility(fids, dev0)
+      if (u > bestU) { bestU = u; bestFacts = fids.map(index.facts).toIndexedSeq }
       si += 1
       if ((si & 0xff) == 0 && expired) aborted = true
     }

@@ -9,6 +9,12 @@ import scala.collection.mutable
   */
 final case class PrunePlan(sources: IndexedSeq[Int], targets: IndexedSeq[Int])
 
+object PrunePlan {
+  /** The no-pruning plan: every group a source, no targets (G-B). */
+  def exhaustive(index: FactIndex): PrunePlan =
+    PrunePlan(index.patterns.indices, IndexedSeq.empty)
+}
+
 /** Gaussian helpers for the §VI-C pruning-probability model. */
 object Gaussian {
 
@@ -118,7 +124,7 @@ object PruneOptimizer {
       // Alg. 4 line 20: one candidate per prefix of the target sequence.
       for (len <- 1 to seq.length) plans += PrunePlan(sources, seq.take(len))
     }
-    plans += PrunePlan(index.patterns.indices.toIndexedSeq, IndexedSeq.empty)
+    plans += PrunePlan.exhaustive(index)
     plans.toIndexedSeq
   }
 
@@ -127,58 +133,15 @@ object PruneOptimizer {
     candidatePlans(cm, index).minBy(cm.planCost)
 }
 
-/** Executes Alg. 3 with a fixed plan supplier: source utilities first, bound
-  * pruning on targets + specializations, exact utilities for survivors. The
-  * returned fact is always the global max-gain fact (bounds are sound), so
-  * the greedy guarantee is preserved.
-  */
-class PlannedSelection(planOf: FactIndex => PrunePlan) extends FactSelectionStrategy {
-  private var cached: PrunePlan = _
-
-  def selectBest(state: SummarizerState): (Int, Double) = {
-    val index = state.index
-    if (cached == null) cached = planOf(index)
-    val plan = cached
-    val srcSet = plan.sources.toSet
-    val alive = mutable.BitSet(index.patterns.indices: _*)
-    var best = (-1, 0.0)
-    plan.sources.foreach { s =>
-      val c = state.bestInGroup(s)
-      if (c._2 > best._2) best = c
-    }
-    val lb = best._2
-    plan.targets.foreach { t =>
-      if (alive(t) && !srcSet(t)) {            // Alg. 3 line 13: still unpruned?
-        val bound = state.groupBound(t)
-        if (lb > bound) {                      // Alg. 3 line 17: source dominates
-          index.patterns.indices.foreach { g =>
-            if (alive(g) && !srcSet(g) && index.isSpecialization(t, g)) {
-              alive -= g
-              state.prunedGroups += 1
-            }
-          }
-        }
-      }
-    }
-    index.patterns.indices.foreach { g =>
-      if (alive(g) && !srcSet(g)) {
-        val c = state.bestInGroup(g)
-        if (c._2 > best._2) best = c
-      }
-    }
-    best
-  }
-}
-
 /** G-P: simple pruning strategy — source is the group with fewest facts,
   * targets follow Alg. 4's consideration order, no cost-based choice.
   */
 object NaivePruning {
-  def apply(sigma: Double = 0.1): FactSelectionStrategy = new PlannedSelection({ index =>
+  def apply(sigma: Double = 0.1): FactSelectionStrategy = { index =>
     val cm = new CostModel(index, sigma)
     val sources = IndexedSeq(PruneOptimizer.groupsByFactCount(index).head)
     PrunePlan(sources, PruneOptimizer.targetSequence(cm, index, sources))
-  })
+  }
 }
 
 /** G-O: cost-based pruning-plan optimization (§VI-C/D).
@@ -189,13 +152,8 @@ object NaivePruning {
   */
 object OptimizedPruning {
   def apply(sigma: Double = 0.1,
-            minRowsForPruning: Int = 5000): FactSelectionStrategy =
-    new PlannedSelection({ index =>
-      if (index.rel.numRows < minRowsForPruning)
-        PrunePlan(index.patterns.indices.toIndexedSeq, IndexedSeq.empty)
-      else {
-        val cm = new CostModel(index, sigma)
-        PruneOptimizer.optimalPlan(cm, index)
-      }
-    })
+            minRowsForPruning: Int = 5000): FactSelectionStrategy = { index =>
+    if (index.rel.numRows < minRowsForPruning) PrunePlan.exhaustive(index)
+    else PruneOptimizer.optimalPlan(new CostModel(index, sigma), index)
+  }
 }

@@ -29,10 +29,27 @@ final case class EncodedTable(
     if (vi >= 0) Some(vi) else None
   }
 
+  /** Sorted row ids per dimension and value id: `postings(d)(v)` lists the
+    * rows with value `v` in dimension `d`. Built once per table instance; it
+    * is not shipped with a broadcast table, each executor rebuilds it on
+    * first use.
+    */
+  @transient private lazy val postings: Array[Array[Array[Int]]] =
+    dimValues.indices.map { d =>
+      val lists = Array.fill(dimValues(d).length)(Array.newBuilder[Int])
+      var ri = 0
+      while (ri < numRows) { lists(dimRows(ri)(d)) += ri; ri += 1 }
+      lists.map(_.result())
+    }.toArray
+
   /** The single-target relation for `target`, filtered to rows satisfying
     * `predicates` and projected to the dimensions NOT bound by a predicate —
     * facts within a query's subset only restrict additional dimensions
     * (§III: query predicates plus up to `maxExtraFactDims` more).
+    *
+    * The matching rows come from intersecting the predicates' posting lists,
+    * so they keep table order. A value absent from the dictionary matches
+    * no row.
     */
   def relationFor(target: String, predicates: Seq[(String, String)]): EncodedRelation = {
     val ti = targetNames.indexOf(target)
@@ -42,20 +59,36 @@ final case class EncodedTable(
       (di, dimValues(di).indexOf(v))
     }
     val freeDims = dimNames.indices.filterNot(i => preds.exists(_._1 == i)).toIndexedSeq
-    val rows = Array.newBuilder[EncodedRow]
-    var ri = 0
-    while (ri < numRows) {
+    val matching =
+      if (preds.isEmpty) Array.range(0, numRows)
+      else if (preds.exists(_._2 < 0)) Array.emptyIntArray
+      else preds.map { case (d, v) => postings(d)(v) }.sortBy(_.length)
+        .reduceLeft(EncodedTable.intersect)
+    val rows = matching.map { ri =>
       val dr = dimRows(ri)
-      if (preds.forall { case (d, v) => dr(d) == v }) {
-        val proj = new Array[Int](freeDims.length)
-        var j = 0
-        while (j < freeDims.length) { proj(j) = dr(freeDims(j)); j += 1 }
-        rows += EncodedRow(proj, targetRows(ri)(ti))
-      }
-      ri += 1
+      val proj = new Array[Int](freeDims.length)
+      var j = 0
+      while (j < freeDims.length) { proj(j) = dr(freeDims(j)); j += 1 }
+      EncodedRow(proj, targetRows(ri)(ti))
     }
-    EncodedRelation(
-      freeDims.map(dimNames), freeDims.map(dimValues), rows.result())
+    EncodedRelation(freeDims.map(dimNames), freeDims.map(dimValues), rows)
+  }
+}
+
+object EncodedTable {
+
+  /** Intersection of two strictly increasing row-id lists, in order. */
+  private def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
+    val out = new Array[Int](math.min(a.length, b.length))
+    var i = 0
+    var j = 0
+    var k = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) < b(j)) i += 1
+      else if (a(i) > b(j)) j += 1
+      else { out(k) = a(i); k += 1; i += 1; j += 1 }
+    }
+    java.util.Arrays.copyOf(out, k)
   }
 }
 

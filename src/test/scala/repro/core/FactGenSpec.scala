@@ -61,10 +61,10 @@ class FactGenSpec extends AnyFunSuite {
 
   test("factIdFor returns the fact whose scope contains the row") {
     val index = FactGen.build(rel, 2)
-    rel.rows.foreach { r =>
+    rel.rows.indices.foreach { ri =>
       (0 until index.numPatterns).foreach { pi =>
-        val f = index.facts(index.factIdFor(pi, r))
-        assert(f.inScope(r))
+        val f = index.facts(index.factIdFor(pi, ri))
+        assert(f.inScope(rel.rows(ri)))
         assert(f.dims.toSeq == index.patterns(pi).toSeq)
       }
     }

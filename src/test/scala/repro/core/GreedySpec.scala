@@ -142,10 +142,16 @@ class GreedySpec extends AnyFunSuite {
     assert(res.baseError == 50.0)
   }
 
-  test("stats count one utility pass per group per iteration for G-B") {
+  test("stats count lazy utility passes for G-B: every group first, then only groups that can win") {
     val index = FactGen.build(grid, 2)
-    val res = GreedySummarizer.summarize(index, 2, 0.0)
-    assert(res.stats.utilityPasses == 2 * index.numPatterns)
+    // Iteration 1 has no stale bounds, so it evaluates all 4 groups.
+    assert(GreedySummarizer.summarize(index, 1, 0.0).stats.utilityPasses == index.numPatterns)
+    // Iteration 2 picks the Summer-South cell (7.5) and still evaluates all
+    // 4. In iteration 3 the overall group's stale bound is 0, so it is
+    // skipped: 4 + 4 + 3 passes instead of 3 × 4.
+    val res = GreedySummarizer.summarize(index, 3, 0.0)
+    assert(res.gains == Seq(35.0, 7.5, 5.0))
+    assert(res.stats.utilityPasses == 11)
     assert(res.stats.boundPasses == 0)
   }
 }

@@ -70,7 +70,7 @@ class PrunedGreedySpec extends AnyFunSuite {
       val rel = TestUtil.randomRelation(new Random(seed + 500), 3, 3, 50)
       val index = FactGen.build(rel, 2)
       val state = new SummarizerState(index, rel.targetMean)
-      val (fid, gain) = ExhaustiveSelection.selectBest(state)
+      val (fid, gain) = state.selectBest()
       if (fid >= 0 && gain > 0) {
         state.applyFact(fid)
         (0 until index.numPatterns).foreach { pi =>

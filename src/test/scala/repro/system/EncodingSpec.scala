@@ -1,5 +1,6 @@
 package repro.system
 
+import scala.util.Random
 import repro.{SparkSpec, TestUtil}
 import repro.data.VoiceData
 
@@ -42,6 +43,32 @@ class EncodingSpec extends SparkSpec {
   test("relationFor on a value absent from the data yields empty") {
     val r = table.relationFor("t", Seq("season" -> "Monsoon"))
     assert(r.numRows == 0)
+  }
+
+  test("posting-list relationFor equals a plain scan for 0, 1 and 2 predicates") {
+    val rnd = new Random(11)
+    val used = IndexedSeq(3, 4, 2)
+    // Dimension b's dictionary holds a fifth value that no row takes.
+    val dicts = IndexedSeq(3, 5, 2).zipWithIndex.map { case (c, i) => (0 until c).map(v => s"v${i}_$v") }
+    val t = EncodedTable(IndexedSeq("a", "b", "c"), dicts, IndexedSeq("x", "y"),
+      Array.fill(200)(Array.tabulate(3)(i => rnd.nextInt(used(i)))),
+      Array.fill(200)(Array.fill(2)(rnd.nextDouble())))
+    def scan(target: String, preds: Seq[(String, String)]) = {
+      val ti = t.targetNames.indexOf(target)
+      val ps = preds.map { case (d, v) => val di = t.dimNames.indexOf(d); (di, t.dimValues(di).indexOf(v)) }
+      val free = t.dimNames.indices.filterNot(i => ps.exists(_._1 == i))
+      val rows = t.dimRows.indices
+        .filter(ri => ps.forall { case (d, v) => t.dimRows(ri)(d) == v })
+        .map(ri => (free.map(t.dimRows(ri)(_)), t.targetRows(ri)(ti)))
+      (free.map(t.dimNames), free.map(t.dimValues), rows)
+    }
+    val singles = for (d <- t.dimNames.indices; v <- dicts(d)) yield Seq(t.dimNames(d) -> v)
+    val pairs = for (Seq(a) <- singles; Seq(b) <- singles if a._1 < b._1) yield Seq(a, b)
+    for (target <- t.targetNames; preds <- Seq(Nil) ++ singles ++ pairs) {
+      val r = t.relationFor(target, preds)
+      val got = (r.dimNames, r.dimValues, r.rows.toSeq.map(row => (row.dims.toSeq, row.target)))
+      assert(got == scan(target, preds), s"$target $preds")
+    }
   }
 
   test("unknown target is rejected") {
