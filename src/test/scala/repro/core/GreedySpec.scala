@@ -142,7 +142,7 @@ class GreedySpec extends AnyFunSuite {
     assert(res.baseError == 50.0)
   }
 
-  test("stats count lazy utility passes for G-B: every group first, then only groups that can win") {
+  test("stats count lazy utility passes for G-B: all groups, then possible winners") {
     val index = FactGen.build(grid, 2)
     // Iteration 1 has no stale bounds, so it evaluates all 4 groups.
     assert(GreedySummarizer.summarize(index, 1, 0.0).stats.utilityPasses == index.numPatterns)
