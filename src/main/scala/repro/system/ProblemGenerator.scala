@@ -1,6 +1,5 @@
 package repro.system
 
-import org.apache.spark.sql.DataFrame
 import repro.core.FactGen
 
 /** The paper's Problem Generator (§III): one summarization problem per
@@ -10,29 +9,9 @@ import repro.core.FactGen
   */
 object ProblemGenerator {
 
-  /** Enumerate problems via distinct-combination queries on the DataFrame —
-    * one `distinct` per dimension subset, executed on Spark.
+  /** Enumerate problems against an encoded table, with no Spark jobs: the
+    * value combinations of each dimension subset in ascending id order.
     */
-  def problems(df: DataFrame, config: SummarizationConfig): Seq[Problem] = {
-    val dims = config.dataset.dims
-    val subsets = FactGen.patterns(dims.length, config.maxQueryLen)
-    val combosPerSubset: Seq[Seq[Seq[(String, String)]]] = subsets.map { p =>
-      if (p.isEmpty) Seq(Seq.empty)
-      else {
-        val cols = p.toSeq.map(dims(_))
-        df.select(cols.head, cols.tail: _*).distinct().collect().toSeq
-          .map(r => cols.zipWithIndex.map { case (c, i) => c -> r.get(i).toString })
-          .sortBy(_.map(_._2).mkString("|"))
-      }
-    }
-    for {
-      target <- config.dataset.targets
-      combos <- combosPerSubset
-      preds <- combos
-    } yield Problem(target, preds)
-  }
-
-  /** Same enumeration against an already-encoded table (no Spark jobs). */
   def problems(table: EncodedTable, config: SummarizationConfig): Seq[Problem] = {
     val d = table.dimNames.length
     val subsets = FactGen.patterns(d, config.maxQueryLen)

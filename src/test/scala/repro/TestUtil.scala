@@ -4,6 +4,7 @@ import scala.util.Random
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 import repro.core.{EncodedRelation, EncodedRow}
+import repro.system.EncodedTable
 
 /** Shared helpers for building small relations in tests. */
 object TestUtil {
@@ -52,8 +53,15 @@ object TestUtil {
     base.copy(rows = base.rows.map(r => r.copy(target = rnd.nextDouble() * 100)))
   }
 
+  /** The encoded table of `rel`, without Spark: same dictionaries and row
+    * order, `rel`'s target repeated under each of `targets`.
+    */
+  def table(rel: EncodedRelation, targets: IndexedSeq[String] = IndexedSeq("t")): EncodedTable =
+    EncodedTable(rel.dimNames, rel.dimValues, targets, rel.rows.map(_.dims),
+      rel.rows.map(r => Array.fill(targets.length)(r.target)))
+
   /** Decode an EncodedRelation back into a Spark DataFrame (dims as strings,
-    * target as double) so DataFrame solvers can be compared to local ones.
+    * target as double), the input of `Encoding.fromDataFrame` and the batch job.
     */
   def toDf(spark: SparkSession, rel: EncodedRelation, target: String = "t"): DataFrame = {
     val schema = StructType(

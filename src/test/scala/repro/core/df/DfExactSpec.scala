@@ -1,54 +1,76 @@
 package repro.core.df
 
-import scala.util.Random
-import repro.{SparkSpec, TestUtil}
-import repro.core.{ExactSummarizer, FactGen, GreedySummarizer}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.{Oracle, TestUtil}
+import repro.core.{EncodedRelation, ExactSummarizer, FactGen, GreedySummarizer}
+import Relational._
 
-/** DataFrame exact algorithm (Alg. 1 as relational operators) vs. the local
-  * exact solver. Tiny instances — the frontier is materialized per level.
+/** The exact algorithm (Alg. 1) against the optimum found on DuckDB by
+  * joining the fact table with itself once per speech fact.
   */
-class DfExactSpec extends SparkSpec {
+class DfExactSpec extends AnyFunSuite {
+
+  private val m = 3
+
+  private def grid = TestUtil.paperGrid
+
+  private def exact(rel: EncodedRelation, m: Int, prior: Double): ExactSummarizer.Result = {
+    val index = FactGen.build(rel, maxFactDims)
+    ExactSummarizer.summarize(index, m, prior,
+      Some(GreedySummarizer.summarize(index, m, prior).speech))
+  }
 
   test("grid optimum 42.5 at m=2 with zero prior") {
-    val df = TestUtil.toDf(spark, TestUtil.paperGrid)
-    val res = DfExact.summarize(df, Seq("season", "region"), "t", 2, 2, Some(0.0))
-    assert(math.abs(res.utility - 42.5) < 1e-9)
-    assert(res.factKeys.length == 2)
+    val res = exact(grid, 2, 0.0)
+    assert(math.abs(res.speech.utility - 42.5) < 1e-9)
+    assert(res.speech.facts.length == 2)
+    Oracle.assertEquivalent(Seq(Seq(42.5)), bestSql(grid.dimNames, 2, "0.0"),
+      Oracle.relation("rel", grid))
   }
 
   test("matches local exact on random relations") {
-    (0 until 5).foreach { seed =>
-      val rel = TestUtil.randomRelationCont(new Random(seed + 40), 2, 2, 15)
-      val df = TestUtil.toDf(spark, rel)
-      val prior = rel.targetMean
-      val index = FactGen.build(rel, 2)
-      val greedy = GreedySummarizer.summarize(index, 2, prior)
-      val local = ExactSummarizer.summarize(index, 2, prior, Some(greedy.speech))
-      val dist = DfExact.summarize(df, rel.dimNames, "t", 2, 2, Some(prior))
-      assert(math.abs(local.speech.utility - dist.utility) < 1e-6,
-        s"seed=$seed local=${local.speech.utility} df=${dist.utility}")
+    relations.foreach { case (name, rel) =>
+      val index = FactGen.build(rel, maxFactDims)
+      val greedy = GreedySummarizer.summarize(index, m, rel.targetMean).speech
+      Seq("no bound" -> None, "greedy bound" -> Some(greedy)).foreach { case (bound, lb) =>
+        val res = ExactSummarizer.summarize(index, m, rel.targetMean, lb)
+        withClue(s"$name, $bound: ") {
+          Oracle.assertEquivalent(Seq(Seq(res.speech.utility)),
+            bestSql(rel.dimNames, m, meanPrior), Oracle.relation("rel", rel))
+          Oracle.assertEquivalent(Seq(Seq(res.baseError, res.speech.utility)),
+            errorsSql(rel.dimNames, meanPrior),
+            Oracle.relation("rel", rel), speech(rel, res.speech.facts))
+        }
+      }
     }
   }
 
   test("exact utility is at least DataFrame-greedy utility") {
-    val rel = TestUtil.randomRelationCont(new Random(50), 2, 3, 20)
-    val df = TestUtil.toDf(spark, rel)
-    val g = DfGreedy.summarize(df, rel.dimNames, "t", 2, 2)
-    val e = DfExact.summarize(df, rel.dimNames, "t", 2, 2)
-    assert(e.utility >= g.utility - 1e-9)
+    relations.foreach { case (name, rel) =>
+      val index = FactGen.build(rel, maxFactDims)
+      val greedy = GreedySummarizer.summarize(index, m, rel.targetMean)
+      val e = ExactSummarizer.summarize(index, m, rel.targetMean)
+      withClue(s"$name: ") {
+        assert(e.speech.utility >= greedy.speech.utility - 1e-9)
+        Oracle.assertEquivalent(Seq(Seq(true)),
+          s"SELECT ${e.speech.utility} >= u - 1e-9 FROM (${errorsSql(rel.dimNames, meanPrior)}) x(b, u)",
+          Oracle.relation("rel", rel), speech(rel, greedy.speech.facts))
+      }
+    }
   }
 
   test("m=1 returns the single best fact") {
-    val rel = TestUtil.paperGrid
-    val df = TestUtil.toDf(spark, rel)
-    val res = DfExact.summarize(df, rel.dimNames, "t", 1, 2, Some(0.0))
-    assert(math.abs(res.utility - 35.0) < 1e-9)
-    assert(res.factKeys == Seq("")) // overall fact has an empty key
+    val res = exact(grid, 1, 0.0)
+    assert(math.abs(res.speech.utility - 35.0) < 1e-9)
+    assert(res.speech.facts.map(_.dims.isEmpty) == Seq(true))
+    Oracle.assertEquivalent(Seq(Seq(35.0)), bestSql(grid.dimNames, 1, "0.0"),
+      Oracle.relation("rel", grid))
   }
 
   test("reports base error D(∅)") {
-    val df = TestUtil.toDf(spark, TestUtil.paperGrid)
-    val res = DfExact.summarize(df, Seq("season", "region"), "t", 1, 2, Some(0.0))
+    val res = exact(grid, 1, 0.0)
     assert(res.baseError == 50.0)
+    Oracle.assertEquivalent(Seq(Seq(res.baseError, res.speech.utility)),
+      errorsSql(grid.dimNames, "0.0"), Oracle.relation("rel", grid), speech(grid, res.speech.facts))
   }
 }

@@ -1,124 +1,141 @@
 package repro.core.df
 
-import scala.util.Random
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestUtil}
-import repro.core.FactGen
+import org.scalatest.exceptions.TestFailedException
+import org.scalatest.funsuite.AnyFunSuite
+import repro.{Oracle, TestUtil}
+import repro.core.{EncodedRelation, FactGen}
+import Relational._
 
-/** DataFrame fact generation vs. the local fact index and the DuckDB oracle. */
-class DfFactsSpec extends SparkSpec {
+/** Fact generation (§III) and the row filter of query predicates against the
+  * union of GROUP BYs and the match join, run on DuckDB.
+  */
+class DfFactsSpec extends AnyFunSuite {
 
-  private lazy val rel = TestUtil.paperGrid
-  private lazy val df = TestUtil.toDf(spark, rel)
-  private val dims = Seq("season", "region")
+  private def forEachRelation(check: EncodedRelation => Unit): Unit =
+    relations.foreach { case (name, rel) => withClue(s"$name: ")(check(rel)) }
 
-  test("facts DF has one row per local fact") {
-    val facts = DfFacts.facts(df, dims, "t", 2)
-    assert(facts.count() == FactGen.build(rel, 2).numFacts)
+  /** Local facts with `k` restricted dimensions against the GROUP BYs of size `k`. */
+  private def checkScopeSize(k: Int): Unit = forEachRelation { rel =>
+    val index = FactGen.build(rel, maxFactDims)
+    Oracle.assertEquivalent(factRows(rel, index.facts.filter(_.dims.length == k)),
+      factsSql(rel.dimNames, scopes(rel.dimNames, k to k)), Oracle.relation("rel", rel))
   }
 
-  test("facts DF typical values match the local index") {
-    val facts = DfFacts.facts(df, dims, "t", 2).collect()
-    val index = FactGen.build(rel, 2)
-    val local = index.facts.map(f =>
-      f.describeScope(rel).replace(" ∧ ", "∧") match {
-        case "overall" => "" -> f.typical
-        case s => s -> f.typical
-      }).toMap
-    facts.foreach { r =>
-      val key = r.getAs[String]("fact_key")
-      assert(local.contains(key), s"unexpected fact $key")
-      assert(math.abs(local(key) - r.getAs[Double]("typical")) < 1e-9)
+  test("oracle numbers match within 1e-9, not beyond") {
+    // 0.1234565 and a value 1e-12 above it round to different 6-digit strings.
+    val x = Oracle.Table("x", Seq("v" -> "DOUBLE"), Seq(Seq(0.1234565)))
+    Oracle.assertEquivalent(Seq(Seq(0.1234565 + 1e-12)), "SELECT v FROM x", x)
+    assertThrows[TestFailedException](
+      Oracle.assertEquivalent(Seq(Seq(0.1234566)), "SELECT v FROM x", x))
+    assertThrows[TestFailedException](
+      Oracle.assertEquivalent(Seq(Seq(0.1234565), Seq(0.1234565)), "SELECT v FROM x", x))
+  }
+
+  test("facts DF has one row per local fact") {
+    forEachRelation { rel =>
+      Oracle.assertEquivalent(Seq(Seq(FactGen.build(rel, maxFactDims).numFacts)),
+        s"SELECT count(*) FROM (${factsSql(rel.dimNames, scopes(rel.dimNames))})",
+        Oracle.relation("rel", rel))
     }
   }
 
+  test("facts DF typical values match the local index") {
+    val rel = TestUtil.paperGrid
+    Oracle.assertEquivalent(factRows(FactGen.build(rel, maxFactDims)),
+      factsSql(rel.dimNames, scopes(rel.dimNames)), Oracle.relation("rel", rel))
+  }
+
   test("single-dim group-by averages agree with DuckDB") {
-    val sparkRes = df.groupBy("season")
-      .agg(avg("t").as("typical"), count(lit(1)).as("support"))
-    Oracle.assertEquivalent(sparkRes,
-      "SELECT season, avg(CAST(t AS DOUBLE)) AS typical, count(*) AS support " +
-        "FROM rel GROUP BY season",
-      "rel" -> df)
+    checkScopeSize(1)
   }
 
   test("two-dim group-by averages agree with DuckDB") {
-    val sparkRes = df.groupBy("season", "region")
-      .agg(avg("t").as("typical"), count(lit(1)).as("support"))
-    Oracle.assertEquivalent(sparkRes,
-      "SELECT season, region, avg(CAST(t AS DOUBLE)) AS typical, " +
-        "count(*) AS support FROM rel GROUP BY season, region",
-      "rel" -> df)
+    checkScopeSize(2)
   }
 
   test("overall average agrees with DuckDB") {
-    val sparkRes = df.agg(avg("t").as("typical"))
-    Oracle.assertEquivalent(sparkRes,
-      "SELECT avg(CAST(t AS DOUBLE)) AS typical FROM rel", "rel" -> df)
+    checkScopeSize(0)
+    forEachRelation { rel =>
+      Oracle.assertEquivalent(Seq(Seq(rel.targetMean)), s"SELECT $meanPrior",
+        Oracle.relation("rel", rel))
+    }
   }
 
   test("single-fact utility join agrees with DuckDB (Alg. 1 line 6)") {
-    val prior = 0.0
-    val facts = DfFacts.facts(df, dims, "t", 2)
-      .where(col("f_season").isNotNull && col("f_region").isNull)
-    val joined = df.join(facts, DfFacts.matchCond(facts, df, dims))
-    val sparkRes = joined.groupBy("fact_key")
-      .agg(sum(greatest(lit(0.0), abs(col("t") - lit(prior)) -
-        abs(col("typical") - col("t")))).as("u1"))
-      .select(col("fact_key").as("season_val"), col("u1"))
-      .withColumn("season_val", regexp_replace(col("season_val"), "season=", ""))
-    Oracle.assertEquivalent(sparkRes,
-      """WITH facts AS (
-        |  SELECT season, avg(CAST(t AS DOUBLE)) AS typical FROM rel GROUP BY season)
-        |SELECT f.season AS season_val,
-        |       SUM(GREATEST(0, ABS(CAST(r.t AS DOUBLE) - 0.0) -
-        |                       ABS(f.typical - CAST(r.t AS DOUBLE)))) AS u1
-        |FROM rel r JOIN facts f ON r.season = f.season
-        |GROUP BY f.season""".stripMargin,
-      "rel" -> df)
+    forEachRelation { rel =>
+      val index = FactGen.build(rel, maxFactDims)
+      val u1 = new Array[Double](index.numFacts)
+      val dev0 = index.priorDeviations(rel.targetMean)
+      (0 until index.numPatterns).foreach(index.gains(_, dev0, u1))
+      Oracle.assertEquivalent(
+        index.facts.indices.map(fid => scopeCells(rel, index.facts(fid)) :+ u1(fid)),
+        gainsSql(rel.dimNames, meanPrior),
+        Oracle.relation("rel", rel), speech(rel, Nil))
+    }
   }
 
   test("matchCond pairs each row with facts covering it") {
-    val facts = DfFacts.facts(df, dims, "t", 2)
-    val joined = df.join(facts, DfFacts.matchCond(facts, df, dims))
-    // Every row matches: 1 overall + 1 season + 1 region + 1 cell = 4 facts.
-    assert(joined.count() == rel.numRows * 4)
+    forEachRelation { rel =>
+      val index = FactGen.build(rel, maxFactDims)
+      // One fact per scope pattern covers each row.
+      val pairs = for (ri <- rel.rows.indices; pi <- 0 until index.numPatterns)
+        yield ri.toLong +: scopeCells(rel, index.facts(index.factIdFor(pi, ri)))
+      Oracle.assertEquivalent(pairs,
+        s"""SELECT r.rid, ${scopeCols(rel.dimNames, "f")}
+           |FROM (${factsSql(rel.dimNames, scopes(rel.dimNames))}) f
+           |JOIN rel r ON ${matchCond(rel.dimNames, "f", "r")}""".stripMargin,
+        Oracle.relation("rel", rel))
+    }
   }
 
   test("facts on random relation match local index") {
-    val rrel = TestUtil.randomRelation(new Random(21), 3, 3, 60)
-    val rdf = TestUtil.toDf(spark, rrel)
-    val dfFacts = DfFacts.facts(rdf, rrel.dimNames, "t", 2).collect()
-    val index = FactGen.build(rrel, 2)
-    assert(dfFacts.length == index.numFacts)
-    val localTyp = index.facts.map { f =>
-      val scope = f.dims.indices.map(i =>
-        s"${rrel.dimNames(f.dims(i))}=${rrel.dimValues(f.dims(i))(f.values(i))}")
-      scope.mkString("∧") -> f.typical
-    }.toMap
-    dfFacts.foreach { r =>
-      val key = r.getAs[String]("fact_key")
-      assert(math.abs(localTyp(key) - r.getAs[Double]("typical")) < 1e-9, key)
+    relations.filter(_._1 != "paperGrid").foreach { case (name, rel) =>
+      withClue(s"$name: ") {
+        Oracle.assertEquivalent(factRows(FactGen.build(rel, maxFactDims)),
+          factsSql(rel.dimNames, scopes(rel.dimNames)), Oracle.relation("rel", rel))
+      }
     }
   }
 
   test("scopeCond selects exactly the scope rows") {
-    val cnt = df.where(DfFacts.scopeCond(df,
-      Seq("season" -> "Winter"), dims)).count()
-    assert(cnt == 2)
-  }
-
-  test("normalize casts dims to string and target to double") {
-    val schema = DfFacts.normalize(df, dims, "t").schema
-    assert(schema("season").dataType.typeName == "string")
-    assert(schema("t").dataType.typeName == "double")
+    forEachRelation { rel =>
+      val table = TestUtil.table(rel)
+      val dims = rel.dimNames
+      // Every one- and two-predicate query; rows carry the query's position.
+      val wheres = dims.indices.toSet.subsets().filter(s => s.size == 1 || s.size == 2)
+        .flatMap(s => s.toSeq.sorted.foldLeft(Seq(Seq.empty[(String, String)])) { (acc, d) =>
+          acc.flatMap(p => rel.dimValues(d).map(v => p :+ (dims(d) -> v)))
+        }).map(p => p -> p.map { case (d, v) => s"$d = '$v'" }.mkString(" AND ")).toSeq
+        .zipWithIndex
+      // relationFor drops the predicate dimensions; both sides show them as NULL.
+      Oracle.assertEquivalent(
+        wheres.flatMap { case ((preds, _), q) =>
+          val sub = table.relationFor("t", preds)
+          sub.rows.toSeq.map(r => (q +: dims.map { d =>
+            val i = sub.dimNames.indexOf(d)
+            if (i < 0) null else sub.dimValues(i)(r.dims(i))
+          }) :+ r.target)
+        },
+        wheres.map { case ((preds, where), q) =>
+          val cols = dims.map(d =>
+            if (preds.exists(_._1 == d)) s"CAST(NULL AS VARCHAR) AS $d" else d)
+          s"SELECT $q, ${cols.mkString(", ")}, t FROM rel WHERE $where"
+        }.mkString("\nUNION ALL\n"),
+        Oracle.relation("rel", rel))
+    }
   }
 
   test("filtered subset aggregation agrees with DuckDB (query predicate path)") {
-    val sub = df.where(col("season") === "Winter")
-      .groupBy("region").agg(avg("t").as("typical"))
-    Oracle.assertEquivalent(sub,
-      "SELECT region, avg(CAST(t AS DOUBLE)) AS typical FROM rel " +
-        "WHERE season = 'Winter' GROUP BY region",
-      "rel" -> df)
+    forEachRelation { rel =>
+      val table = TestUtil.table(rel)
+      for (d <- rel.dimNames.indices; v <- rel.dimValues(d)) {
+        val sub = table.relationFor("t", Seq(rel.dimNames(d) -> v))
+        withClue(s"${rel.dimNames(d)}=$v: ") {
+          Oracle.assertEquivalent(factRows(FactGen.build(sub, maxFactDims)),
+            factsSql(sub.dimNames, scopes(sub.dimNames), s"${rel.dimNames(d)} = '$v'"),
+            Oracle.relation("rel", rel))
+        }
+      }
+    }
   }
 }

@@ -1,79 +1,120 @@
 package repro.core.df
 
-import scala.util.Random
-import repro.{SparkSpec, TestUtil}
-import repro.core.{FactGen, GreedySummarizer}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.{Oracle, TestUtil}
+import repro.core.{EncodedRelation, FactGen, GreedyResult, GreedySummarizer, OptimizedPruning}
+import Relational._
 
-/** DataFrame greedy (Catalyst pipeline) vs. the local greedy solver. */
-class DfGreedySpec extends SparkSpec {
+/** Greedy (Alg. 2) against utilities and gains recomputed by the match join
+  * on DuckDB.
+  */
+class DfGreedySpec extends AnyFunSuite {
+
+  private val m = 3
+
+  private def grid = TestUtil.paperGrid
+
+  /** Checks that each fact greedy picked has the largest SQL gain over the
+    * facts picked before it.
+    */
+  private def checkPicks(rel: EncodedRelation, res: GreedyResult): Unit = {
+    val facts = res.speech.facts
+    val isPick = rel.dimNames.map(d => s"g.f_$d IS NOT DISTINCT FROM p.f_$d").mkString(" AND ")
+    facts.indices.foreach { k =>
+      withClue(s"step $k: ") {
+        Oracle.assertEquivalent(Seq(Seq(1)),
+          s"""WITH g AS (${gainsSql(rel.dimNames, meanPrior)})
+             |SELECT count(*) FROM g CROSS JOIN pick p
+             |WHERE $isPick AND g.gain >= (SELECT max(gain) FROM g) - 1e-9""".stripMargin,
+          Oracle.relation("rel", rel), speech(rel, facts.take(k)),
+          speech(rel, Seq(facts(k)), "pick"))
+      }
+    }
+  }
 
   test("grid with zero prior reaches utility 42.5 at m=2") {
-    val df = TestUtil.toDf(spark, TestUtil.paperGrid)
-    val res = DfGreedy.summarize(df, Seq("season", "region"), "t", 2, 2, Some(0.0))
-    assert(math.abs(res.utility - 42.5) < 1e-9)
+    val res = GreedySummarizer.summarize(FactGen.build(grid, maxFactDims), 2, 0.0)
+    assert(math.abs(res.speech.utility - 42.5) < 1e-9)
+    Oracle.assertEquivalent(Seq(Seq(50.0, 42.5)), errorsSql(grid.dimNames, "0.0"),
+      Oracle.relation("rel", grid), speech(grid, res.speech.facts))
   }
 
   test("grid base error is 50 under zero prior") {
-    val df = TestUtil.toDf(spark, TestUtil.paperGrid)
-    val res = DfGreedy.summarize(df, Seq("season", "region"), "t", 1, 2, Some(0.0))
+    val res = GreedySummarizer.summarize(FactGen.build(grid, maxFactDims), 1, 0.0)
     assert(res.baseError == 50.0)
+    Oracle.assertEquivalent(Seq(Seq(res.baseError)), "SELECT sum(abs(t - 0.0)) FROM rel",
+      Oracle.relation("rel", grid))
   }
 
   test("first pick on the grid is the overall fact (gain 35)") {
-    val df = TestUtil.toDf(spark, TestUtil.paperGrid)
-    val res = DfGreedy.summarize(df, Seq("season", "region"), "t", 1, 2, Some(0.0))
-    assert(res.facts.head.scope.isEmpty)
-    assert(math.abs(res.facts.head.gain - 35.0) < 1e-9)
+    val res = GreedySummarizer.summarize(FactGen.build(grid, maxFactDims), 1, 0.0)
+    assert(res.speech.facts.head.dims.isEmpty)
+    assert(math.abs(res.gains.head - 35.0) < 1e-9)
+    // The overall fact is the only one of maximal single-fact utility.
+    Oracle.assertEquivalent(Seq(scopeCells(grid, res.speech.facts.head) :+ 35.0),
+      s"""WITH g AS (${gainsSql(grid.dimNames, "0.0")})
+         |SELECT * FROM g WHERE gain >= (SELECT max(gain) FROM g) - 1e-9""".stripMargin,
+      Oracle.relation("rel", grid), speech(grid, Nil))
   }
 
   test("matches local greedy utility on random relations (continuous targets)") {
-    (0 until 8).foreach { seed =>
-      val rel = TestUtil.randomRelationCont(new Random(seed), 3, 3, 40)
-      val df = TestUtil.toDf(spark, rel)
-      val prior = rel.targetMean
-      val local = GreedySummarizer.summarize(FactGen.build(rel, 2), 3, prior)
-      val dist = DfGreedy.summarize(df, rel.dimNames, "t", 3, 2, Some(prior))
-      assert(math.abs(local.speech.utility - dist.utility) < 1e-6,
-        s"seed=$seed local=${local.speech.utility} df=${dist.utility}")
+    relations.foreach { case (name, rel) =>
+      val index = FactGen.build(rel, maxFactDims)
+      Seq("G-B" -> GreedySummarizer.summarize(index, m, rel.targetMean),
+          "G-O" -> GreedySummarizer.summarize(index, m, rel.targetMean, OptimizedPruning()))
+        .foreach { case (alg, res) =>
+          withClue(s"$name $alg: ") {
+            Oracle.assertEquivalent(Seq(Seq(res.baseError, res.speech.utility)),
+              errorsSql(rel.dimNames, meanPrior),
+              Oracle.relation("rel", rel), speech(rel, res.speech.facts))
+          }
+        }
     }
   }
 
   test("selected scopes match local greedy on continuous targets") {
-    val rel = TestUtil.randomRelationCont(new Random(77), 2, 3, 30)
-    val df = TestUtil.toDf(spark, rel)
-    val prior = rel.targetMean
-    val local = GreedySummarizer.summarize(FactGen.build(rel, 2), 2, prior)
-    val dist = DfGreedy.summarize(df, rel.dimNames, "t", 2, 2, Some(prior))
-    val localScopes = local.speech.facts.map(f =>
-      f.dims.indices.map(i =>
-        rel.dimNames(f.dims(i)) -> rel.dimValues(f.dims(i))(f.values(i))).toMap).toSet
-    assert(dist.facts.map(_.scope).toSet == localScopes)
+    continuous.foreach { case (name, rel) =>
+      withClue(s"$name: ") {
+        checkPicks(rel,
+          GreedySummarizer.summarize(FactGen.build(rel, maxFactDims), m, rel.targetMean))
+      }
+    }
   }
 
   test("default prior is the relation mean") {
-    val rel = TestUtil.paperGrid
-    val df = TestUtil.toDf(spark, rel)
-    val explicit = DfGreedy.summarize(df, rel.dimNames, "t", 2, 2, Some(12.5))
-    val default = DfGreedy.summarize(df, rel.dimNames, "t", 2, 2, None)
-    assert(math.abs(explicit.utility - default.utility) < 1e-9)
+    val default = GreedySummarizer.summarizeRelation(grid, maxFactDims, 2)
+    val explicit = GreedySummarizer.summarize(FactGen.build(grid, maxFactDims), 2, 12.5)
+    assert(math.abs(explicit.speech.utility - default.speech.utility) < 1e-9)
+    Oracle.assertEquivalent(Seq(Seq(12.5)), s"SELECT $meanPrior", Oracle.relation("rel", grid))
   }
 
   test("stops early on constant data") {
     val flat = TestUtil.grid(Map(
       ("A", "N") -> Seq(5.0), ("A", "S") -> Seq(5.0),
       ("B", "N") -> Seq(5.0), ("B", "S") -> Seq(5.0)))
-    val df = TestUtil.toDf(spark, flat)
-    val res = DfGreedy.summarize(df, flat.dimNames, "t", 3, 2)
-    assert(res.facts.isEmpty && res.utility == 0.0)
+    val res = GreedySummarizer.summarizeRelation(flat, maxFactDims, m)
+    assert(res.speech.facts.isEmpty && res.speech.utility == 0.0)
+    // No fact has a positive gain, so greedy has nothing to add.
+    Oracle.assertEquivalent(Seq(Seq(0.0)),
+      s"SELECT max(gain) FROM (${gainsSql(flat.dimNames, meanPrior)})",
+      Oracle.relation("rel", flat), speech(flat, Nil))
   }
 
   test("per-fact gains are non-increasing") {
-    val rel = TestUtil.randomRelationCont(new Random(5), 3, 3, 50)
-    val df = TestUtil.toDf(spark, rel)
-    val res = DfGreedy.summarize(df, rel.dimNames, "t", 3, 2)
-    res.facts.map(_.gain).sliding(2).foreach {
-      case Seq(a, b) => assert(a >= b - 1e-9)
-      case _ =>
+    relations.foreach { case (name, rel) =>
+      val res = GreedySummarizer.summarize(FactGen.build(rel, maxFactDims), m, rel.targetMean)
+      withClue(s"$name: ") {
+        // The k-th gain is the largest SQL gain over the first k facts.
+        res.gains.indices.foreach { k =>
+          Oracle.assertEquivalent(Seq(Seq(res.gains(k))),
+            s"SELECT max(gain) FROM (${gainsSql(rel.dimNames, meanPrior)})",
+            Oracle.relation("rel", rel), speech(rel, res.speech.facts.take(k)))
+        }
+        res.gains.sliding(2).foreach {
+          case Seq(a, b) => assert(a >= b - 1e-9)
+          case _ =>
+        }
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 package repro.system
 
-import repro.{SparkSpec, TestUtil}
+import scala.util.Random
+import repro.{Oracle, SparkSpec, TestUtil}
 import repro.data.VoiceData
 
 /** Tests for query enumeration (§III, Thm 10). */
@@ -60,10 +61,23 @@ class ProblemGeneratorSpec extends SparkSpec {
     assert(probs.length == 18)
   }
 
-  test("DataFrame-based and table-based enumeration agree") {
-    val a = ProblemGenerator.problems(df, SummarizationConfig(spec)).map(_.key).sorted
-    val b = ProblemGenerator.problems(table, SummarizationConfig(spec)).map(_.key).sorted
-    assert(a == b)
+  test("enumeration equals SELECT DISTINCT per dimension subset") {
+    val rel = TestUtil.randomRelation(new Random(7), 3, 3, 12)
+    val dims = rel.dimNames
+    val twoTargets = spec.copy(dims = dims, targets = Seq("t", "u"))
+    val probs = ProblemGenerator.problems(TestUtil.table(rel, IndexedSeq("t", "u")),
+      SummarizationConfig(twoTargets, maxQueryLen = 2))
+    val subsets = dims.indices.toSet.subsets().filter(_.size <= 2).toSeq
+    // The 12 rows leave some value combinations out.
+    assert(probs.length < 2 * subsets.map(_.toSeq.map(rel.cards).product).sum)
+    val distinct = subsets.map(_.map(dims)).map { s =>
+      val cols = dims.map(d => if (s(d)) d else s"CAST(NULL AS VARCHAR) AS $d")
+      s"SELECT DISTINCT ${cols.mkString(", ")} FROM rel"
+    }.mkString(" UNION ALL ")
+    Oracle.assertEquivalent(
+      probs.map(p => p.target +: dims.map(d => p.predicates.toMap.getOrElse(d, null))),
+      s"SELECT tg.target, q.* FROM (VALUES ('t'), ('u')) tg(target) CROSS JOIN ($distinct) q",
+      Oracle.relation("rel", rel))
   }
 
   test("problem key is order-insensitive in predicates") {
