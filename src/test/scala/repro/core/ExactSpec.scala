@@ -68,6 +68,21 @@ class ExactSpec extends AnyFunSuite {
     assert(math.abs(withBound.speech.utility - noBound.speech.utility) < 1e-9)
   }
 
+  test("enumeration counts are pinned with and without the greedy bound") {
+    val counts = (30 until 34).map { seed =>
+      val rnd = new Random(seed)
+      val rel =
+        if (seed % 2 == 0) TestUtil.randomRelation(rnd, 4, 4, 200)
+        else TestUtil.randomRelationCont(rnd, 4, 4, 200)
+      val index = FactGen.build(rel, 2)
+      val prior = rel.targetMean
+      val greedy = GreedySummarizer.summarize(index, 3, prior)
+      (ExactSummarizer.summarize(index, 3, prior, Some(greedy.speech)).enumerated,
+        ExactSummarizer.summarize(index, 3, prior, None).enumerated)
+    }
+    assert(counts == Seq((223, 8473), (18, 18472), (21, 9919), (48, 27775)))
+  }
+
   test("exact exposes the fallback speech on timeout") {
     val rel = TestUtil.randomRelation(new Random(5), 4, 4, 200)
     val index = FactGen.build(rel, 2)
