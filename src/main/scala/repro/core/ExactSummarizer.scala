@@ -1,8 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** Exact speech optimization (Alg. 1): iterative expansion of partial
+/** Exact speech optimization (Alg. 1): a depth-first walk over partial
   * speeches with two sound pruning rules —
   *
   *  1. canonical fact order: facts ranked by (single-fact utility desc,
@@ -12,15 +10,19 @@ import scala.collection.mutable
   *     S.U survives only if `S.U + (m − i + 1) · u1(new) ≥ b`, with `b` a
   *     lower bound on the optimal utility (Lemma 1 / Thm 2).
   *
-  * The final pass computes exact utilities for all surviving full-length
-  * speeches (Alg. 1 line 13) and returns the maximum.
+  * The rules fix which partial speeches exist, not the order of the visit;
+  * depth first in ascending rank order (branch and bound, Land & Doig 1960)
+  * reaches the full-length speeches in the order Alg. 1's last frontier
+  * lists them, and holds one speech of at most m facts instead of a level.
+  * Each full-length speech gets its exact utility (Alg. 1 line 13); the
+  * first strict maximum is returned.
   */
 object ExactSummarizer {
 
   /** @param speech      optimal speech found (falls back to the `lowerBound`
     *                    speech when the deadline expired)
     * @param timedOut    deadline expired before the search completed
-    * @param enumerated  partial speeches materialized across all iterations
+    * @param enumerated  partial speeches that passed the bound, all lengths
     */
   final case class Result(speech: Speech, baseError: Double,
                           timedOut: Boolean, enumerated: Long)
@@ -30,12 +32,10 @@ object ExactSummarizer {
     * @param prior       constant prior expectation
     * @param lowerBound  a known speech (typically greedy) supplying bound b
     * @param deadlineNanos absolute `System.nanoTime` deadline, if any
-    * @param maxPartial  memory guard on the partial-speech frontier
     */
   def summarize(index: FactIndex, m: Int, prior: Double,
                 lowerBound: Option[Speech] = None,
-                deadlineNanos: Option[Long] = None,
-                maxPartial: Int = 2_000_000): Result = {
+                deadlineNanos: Option[Long] = None): Result = {
     val dev0 = index.priorDeviations(prior)
     val baseError = dev0.sum
     val k = index.numFacts
@@ -53,56 +53,34 @@ object ExactSummarizer {
     val rankU1: Array[Double] = ranked.map(u1)
     val targetLen = math.min(m, k)
 
-    // Partial speeches as rank arrays plus their utility upper bound ΣU.
-    final case class Partial(ranks: Array[Int], ubound: Double)
-    var frontier: mutable.ArrayBuffer[Partial] = mutable.ArrayBuffer.empty
+    val fids = new Array[Int](targetLen) // fact ids of the speech on the path
     var enumerated = 0L
-    var j = 0
-    while (j < k) {
-      // Length-1 pruning: m · u1 ≥ b must be attainable.
-      if (rankU1(j) * m >= b) frontier += Partial(Array(j), rankU1(j))
-      j += 1
-    }
-    enumerated += frontier.length
-
-    var i = 2
     var aborted = false
-    while (i <= targetLen && !aborted) {
-      val remainingFactor = m - i + 1 // (m − i + 1) facts may still count u1(new)
-      val next = mutable.ArrayBuffer.empty[Partial]
-      var si = 0
-      while (si < frontier.length && !aborted) {
-        val p = frontier(si)
-        val lastRank = p.ranks(p.ranks.length - 1)
-        var nr = lastRank + 1
-        while (nr < k) {
-          if (p.ubound + remainingFactor * rankU1(nr) >= b)
-            next += Partial(p.ranks :+ nr, p.ubound + rankU1(nr))
-          nr += 1
-        }
-        si += 1
-        if ((si & 0x3ff) == 0 && (expired || next.length > maxPartial)) aborted = true
-      }
-      if (next.length > maxPartial) aborted = true
-      enumerated += next.length
-      frontier = next
-      i += 1
-    }
-    if (aborted || expired)
-      return Result(fallback, baseError, timedOut = true, enumerated)
-
-    // Line 13: exact utility of each surviving speech; keep the maximum.
     var bestFacts: IndexedSeq[Fact] = fallback.facts
     var bestU = b
-    var si = 0
-    while (si < frontier.length && !aborted) {
-      val fids = frontier(si).ranks.map(ranked)
-      val u = index.utility(fids, dev0)
-      if (u > bestU) { bestU = u; bestFacts = fids.map(index.facts).toIndexedSeq }
-      si += 1
-      if ((si & 0xff) == 0 && expired) aborted = true
+
+    // Appends each rank from `from` on whose bound reaches b at position i
+    // (new length i + 1) to a speech with utility bound `ubound`. rankU1 is
+    // non-increasing, so the first rank that fails ends the loop.
+    def extend(i: Int, from: Int, ubound: Double): Unit = {
+      val remainingFactor = m - i // m − (i + 1) + 1 facts may still count u1(new)
+      var nr = from
+      while (nr < k && !aborted && ubound + remainingFactor * rankU1(nr) >= b) {
+        fids(i) = ranked(nr)
+        enumerated += 1
+        if ((enumerated & 0x3ff) == 0 && expired) aborted = true
+        if (i + 1 < targetLen) extend(i + 1, nr + 1, ubound + rankU1(nr))
+        else {
+          // Line 13: exact utility of a full-length speech; keep the maximum.
+          val u = index.utility(fids, dev0)
+          if (u > bestU) { bestU = u; bestFacts = fids.map(index.facts).toIndexedSeq }
+        }
+        nr += 1
+      }
     }
-    if (aborted)
+    extend(0, 0, 0.0)
+
+    if (aborted || expired)
       Result(fallback, baseError, timedOut = true, enumerated)
     else
       Result(Speech(bestFacts, bestU), baseError, timedOut = false, enumerated)

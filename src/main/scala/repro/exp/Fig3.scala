@@ -112,9 +112,9 @@ object Fig3 {
       val exactSec = (System.nanoTime() - exactStart) / 1e9
 
       // Theorem-5 reference: exact on the hardest problem with NO lower
-      // bound (only the canonical-order prune) — the frontier then grows
-      // toward C(k, m), which is where the paper's measured hours-long
-      // exact runs live.
+      // bound (only the canonical-order prune) — the search then visits all
+      // C(k, m) speeches of length m, which is where the paper's measured
+      // hours-long exact runs live; it stops at the deadline.
       val fullRel = table.relationFor(sc.target, Nil)
       val fullIndex = FactGen.build(fullRel, maxExtraFactDims)
       val nbStart = System.nanoTime()

@@ -94,14 +94,23 @@ class ExactSpec extends AnyFunSuite {
     assert(res.speech.utility == greedy.speech.utility)
   }
 
-  test("frontier cap triggers the timeout path") {
-    val rel = TestUtil.randomRelation(new Random(6), 4, 4, 100)
-    val index = FactGen.build(rel, 2)
+  test("unbounded search past 2M length-m partials finishes at the bounded optimum") {
+    // 24 rows, 4 dims of 10 values, facts over all 4 dims: k = 288 facts, and
+    // with b = 0 every one of the C(k, 3) > 2,000,000 length-3 speeches is kept.
+    val rnd = new Random(6)
+    val rel = EncodedRelation(IndexedSeq("a", "b", "c", "d"),
+      IndexedSeq.fill(4)((0 until 10).map(_.toString)),
+      Array.fill(24)(EncodedRow(Array.fill(4)(rnd.nextInt(10)), rnd.nextInt(100).toDouble)))
+    val index = FactGen.build(rel, 4)
+    val k = index.numFacts.toLong
+    assert(k * (k - 1) * (k - 2) / 6 > 2_000_000)
     val prior = rel.targetMean
     val greedy = GreedySummarizer.summarize(index, 3, prior)
-    val res = ExactSummarizer.summarize(index, 3, prior, Some(greedy.speech),
-      maxPartial = 1)
-    assert(res.timedOut)
+    val bounded = ExactSummarizer.summarize(index, 3, prior, Some(greedy.speech))
+    val unbounded = ExactSummarizer.summarize(index, 3, prior, None)
+    assert(!bounded.timedOut && !unbounded.timedOut)
+    assert(unbounded.enumerated == k + k * (k - 1) / 2 + k * (k - 1) * (k - 2) / 6)
+    assert(math.abs(unbounded.speech.utility - bounded.speech.utility) < 1e-9)
   }
 
   test("m = 1 returns the best single fact") {
