@@ -37,16 +37,16 @@ object Gaussian {
   * Per-fact utility is modelled as N(1/M(g), σ²) — mean inversely
   * proportional to the group's fact count M(g) under a uniform row spread —
   * so the probability that a source fact dominates a target bound is a
-  * comparison of two normals. Pass costs: a utility computation is a
-  * fact–row join (`cU · n`), a bound computation a plain group-by (`cD · n`).
+  * comparison of two normals (σ = 0.1). Pass costs: a utility computation
+  * is a fact–row join (`5n`), a bound computation a plain group-by (`n`).
   */
-final class CostModel(index: FactIndex, sigma: Double = 0.1,
-                      cU: Double = 5.0, cD: Double = 1.0) {
+final class CostModel(index: FactIndex) {
   private val n = index.rel.numRows.toDouble
   private val groups = index.patterns.indices
+  private val sigma = 0.1
 
-  def costU(g: Int): Double = cU * n
-  def costD(g: Int): Double = cD * n
+  def costU(g: Int): Double = 5.0 * n
+  def costD(g: Int): Double = n
 
   /** Pr(P_{s→t}): a fact from source `s` beats the bound of target `t`. */
   def prSourceBeatsTarget(s: Int, t: Int): Double = {
@@ -109,16 +109,15 @@ object PruneOptimizer {
 
   /** All candidate plans per Alg. 4, plus the no-pruning plan (every group a
     * source, no targets) so the optimizer may decline to prune. Source
-    * prefixes are capped: Alg. 4 prioritizes groups with few member facts
-    * as sources (their expected per-fact utility is highest), and prefixes
-    * beyond a handful of groups only add join cost — capping keeps plan
+    * prefixes are capped at 4 groups: Alg. 4 prioritizes groups with few
+    * member facts as sources (their expected per-fact utility is highest),
+    * and longer prefixes only add join cost — capping keeps plan
     * enumeration cheap enough to run per summarization problem.
     */
-  def candidatePlans(cm: CostModel, index: FactIndex,
-                     maxSourcePrefix: Int = 4): IndexedSeq[PrunePlan] = {
+  def candidatePlans(cm: CostModel, index: FactIndex): IndexedSeq[PrunePlan] = {
     val ordered = groupsByFactCount(index)
     val plans = mutable.ArrayBuffer.empty[PrunePlan]
-    for (k <- 1 until math.min(ordered.length, maxSourcePrefix + 1)) {
+    for (k <- 1 until math.min(ordered.length, 5)) {
       val sources = ordered.take(k)
       val seq = targetSequence(cm, index, sources)
       // Alg. 4 line 20: one candidate per prefix of the target sequence.
@@ -137,8 +136,8 @@ object PruneOptimizer {
   * targets follow Alg. 4's consideration order, no cost-based choice.
   */
 object NaivePruning {
-  def apply(sigma: Double = 0.1): FactSelectionStrategy = { index =>
-    val cm = new CostModel(index, sigma)
+  def apply(): FactSelectionStrategy = { index =>
+    val cm = new CostModel(index)
     val sources = IndexedSeq(PruneOptimizer.groupsByFactCount(index).head)
     PrunePlan(sources, PruneOptimizer.targetSequence(cm, index, sources))
   }
@@ -147,13 +146,12 @@ object NaivePruning {
 /** G-O: cost-based pruning-plan optimization (§VI-C/D).
   *
   * For small relations the fixed cost of plan enumeration exceeds anything
-  * pruning can save, so below `minRowsForPruning` the optimizer falls back
-  * to the no-pruning plan outright (equivalent to G-B).
+  * pruning can save, so below 5000 rows the optimizer falls back to the
+  * no-pruning plan outright (equivalent to G-B).
   */
 object OptimizedPruning {
-  def apply(sigma: Double = 0.1,
-            minRowsForPruning: Int = 5000): FactSelectionStrategy = { index =>
-    if (index.rel.numRows < minRowsForPruning) PrunePlan.exhaustive(index)
-    else PruneOptimizer.optimalPlan(new CostModel(index, sigma), index)
+  def apply(): FactSelectionStrategy = { index =>
+    if (index.rel.numRows < 5000) PrunePlan.exhaustive(index)
+    else PruneOptimizer.optimalPlan(new CostModel(index), index)
   }
 }

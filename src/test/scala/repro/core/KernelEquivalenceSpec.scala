@@ -44,11 +44,17 @@ class KernelEquivalenceSpec extends AnyFunSuite {
     (picked.toSeq, gains.toSeq, Eval.utility(rel, picked.map(index.facts).toSeq, prior))
   }
 
+  /** G-O's cost-based plan at every relation size: `OptimizedPruning` skips
+    * planning below 5000 rows, and these relations are smaller.
+    */
+  private val planned: FactSelectionStrategy =
+    ix => PruneOptimizer.optimalPlan(new CostModel(ix), ix)
+
   private val strategies: Seq[(String, FactSelectionStrategy)] = Seq(
     "G-B" -> ExhaustiveSelection,
     "G-P" -> NaivePruning(),
     "G-O" -> OptimizedPruning(),
-    "G-O planned" -> OptimizedPruning(minRowsForPruning = 0))
+    "G-O planned" -> planned)
 
   private def assertMatchesReference(rel: EncodedRelation, m: Int, clue: String): Unit = {
     val index = FactGen.build(rel, 2)
@@ -113,14 +119,15 @@ class KernelEquivalenceSpec extends AnyFunSuite {
   }
 
   test("a reused G-O instance gives the same speeches as fresh instances") {
-    val reused = OptimizedPruning(minRowsForPruning = 0)
+    val reused = planned
     val rels = Seq(4, 2, 3, 1, 4).zipWithIndex.map { case (d, i) =>
       TestUtil.randomRelationCont(new Random(i + 1300), d, 3, 80)
     }
     rels.zipWithIndex.foreach { case (rel, i) =>
       val index = FactGen.build(rel, 2)
       val a = GreedySummarizer.summarize(index, 3, rel.targetMean, reused)
-      val b = GreedySummarizer.summarize(index, 3, rel.targetMean, OptimizedPruning(minRowsForPruning = 0))
+      val b = GreedySummarizer.summarize(index, 3, rel.targetMean,
+        (ix: FactIndex) => PruneOptimizer.optimalPlan(new CostModel(ix), ix))
       assert(a.speech == b.speech && a.gains == b.gains && a.stats == b.stats, s"relation=$i")
     }
   }
