@@ -94,20 +94,19 @@ object EncodedTable {
 
 object Encoding {
 
-  /** Dictionary-encode a DataFrame. Dictionaries are collected per dimension
-    * (distinct + sort, one Spark job) so encoding is deterministic; the row
-    * payload is collected once — the table must fit the driver, which holds
-    * for all bench scale factors (ints + doubles only).
+  /** Dictionary-encode a DataFrame with one Spark job: the rows are
+    * collected to the driver once, and each dimension's dictionary is its
+    * distinct values in sorted order, so encoding is deterministic. The table
+    * must fit the driver, which holds for all bench scale factors (ints +
+    * doubles only).
     */
   def fromDataFrame(df: DataFrame, dims: Seq[String], targets: Seq[String]): EncodedTable = {
     val norm = df.select(
       dims.map(d => col(d).cast("string").as(d)) ++
         targets.map(t => col(t).cast("double").as(t)): _*)
-    val dicts = dims.map { d =>
-      norm.select(d).distinct().collect().map(_.getString(0)).sorted.toIndexedSeq
-    }.toIndexedSeq
-    val lookup = dicts.map(vs => vs.zipWithIndex.toMap)
     val rows = norm.collect()
+    val dicts = dims.indices.map(j => rows.iterator.map(_.getString(j)).distinct.toIndexedSeq.sorted)
+    val lookup = dicts.map(vs => vs.zipWithIndex.toMap)
     val dimRows = new Array[Array[Int]](rows.length)
     val targetRows = new Array[Array[Double]](rows.length)
     var i = 0
