@@ -6,7 +6,7 @@ import repro.exp._
 /** Shared session bootstrap for spark-submit entrypoints. */
 object JobSession {
   def create(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .appName(name)
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .config("spark.sql.shuffle.partitions",

@@ -1,28 +1,33 @@
 package repro.vocalize
 
+import java.util.Locale
+
 /** A selected fact ready for vocalization: scope as (dimension → value)
   * plus the typical value and support.
   */
 final case class SummaryFact(scope: Map[String, String], typical: Double, support: Long)
 
-/** How a target column is phrased and formatted in speech output. */
+/** How a target column is phrased and formatted in speech output. Numbers
+  * use `Locale.ROOT`, so the decimal mark is "." whatever the JVM's default
+  * locale.
+  */
 final case class TargetStyle(phrase: String, fmt: Double => String)
 
 object TargetStyle {
   /** "About 12.5 minutes …" */
   def unit(phrase: String, unitName: String): TargetStyle =
-    TargetStyle(phrase, v => f"$v%.1f $unitName")
+    TargetStyle(phrase, v => "%.1f %s".formatLocal(Locale.ROOT, v, unitName))
 
   /** Rates in [0,1] spoken as "N out of 1000" (Table II style). */
   def perThousand(phrase: String): TargetStyle =
-    TargetStyle(phrase, v => f"${v * 1000}%.0f out of 1000")
+    TargetStyle(phrase, v => "%.0f out of 1000".formatLocal(Locale.ROOT, v * 1000))
 
   /** Probabilities spoken as percentages. */
   def percent(phrase: String): TargetStyle =
-    TargetStyle(phrase, v => f"${v * 100}%.0f%%")
+    TargetStyle(phrase, v => "%.0f%%".formatLocal(Locale.ROOT, v * 100))
 
   def plain(phrase: String): TargetStyle =
-    TargetStyle(phrase, v => f"$v%.1f")
+    TargetStyle(phrase, v => "%.1f".formatLocal(Locale.ROOT, v))
 }
 
 /** Speech rendering (§III): facts fill a fixed template, and the speech is

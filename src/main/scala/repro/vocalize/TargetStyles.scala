@@ -1,5 +1,7 @@
 package repro.vocalize
 
+import java.util.Locale
+
 /** Static registry mapping known target columns to speech styles — a plain
   * object lookup so executor tasks can resolve styles without shipping
   * function-valued closures.
@@ -25,7 +27,7 @@ object TargetStyles {
     case "years_code" => TargetStyle.unit("years of coding experience", "years")
     case "work_week"  => TargetStyle.unit("working hours per week", "hours")
     // Primaries
-    case "pct" => TargetStyle(s"percent poll share", v => f"$v%.1f percent")
+    case "pct" => TargetStyle("percent poll share", v => "%.1f percent".formatLocal(Locale.ROOT, v))
     case other => TargetStyle.plain(other)
   }
 }

@@ -53,6 +53,16 @@ class TemplatesSpec extends AnyFunSuite {
     assert(st.fmt(12.34) == "12.3 minutes")
   }
 
+  test("numbers use a decimal point under a decimal-comma default locale") {
+    val saved = java.util.Locale.getDefault
+    java.util.Locale.setDefault(java.util.Locale.GERMANY)
+    try {
+      assert(TargetStyle.unit("minutes of delay", "minutes").fmt(12.5) == "12.5 minutes")
+      assert(TargetStyle.plain("rating").fmt(12.5) == "12.5")
+      assert(TargetStyles.forTarget("pct").fmt(12.5) == "12.5 percent")
+    } finally java.util.Locale.setDefault(saved)
+  }
+
   test("plain style formats one decimal") {
     assert(TargetStyle.plain("rating").fmt(7.25) == "7.3")
   }
