@@ -10,12 +10,12 @@ package repro.core
   *     S.U survives only if `S.U + (m − i + 1) · u1(new) ≥ b`, with `b` a
   *     lower bound on the optimal utility (Lemma 1 / Thm 2).
   *
-  * The rules fix which partial speeches exist, not the order of the visit;
-  * depth first in ascending rank order (branch and bound, Land & Doig 1960)
-  * reaches the full-length speeches in the order Alg. 1's last frontier
-  * lists them, and holds one speech of at most m facts instead of a level.
-  * Each full-length speech gets its exact utility (Alg. 1 line 13); the
-  * first strict maximum is returned.
+  * The rules fix which partial speeches exist, not the order of the visit.
+  * Depth first in ascending rank order (branch and bound, Land & Doig 1960)
+  * reaches the full-length speeches in the order Alg. 1's last level lists
+  * them, so the result and the enumeration count are Alg. 1's, while memory
+  * holds one path of at most m facts. Each full-length speech gets its exact
+  * utility (Alg. 1 line 13); the first strict maximum is returned.
   */
 object ExactSummarizer {
 

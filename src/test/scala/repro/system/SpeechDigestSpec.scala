@@ -21,14 +21,14 @@ class SpeechDigestSpec extends AnyFunSuite {
 
   private val targets = IndexedSeq("delay", "job_sat")
 
-  private def tables: Seq[EncodedTable] = Seq(21, 22, 23).map { seed =>
+  private lazy val tables: Seq[EncodedTable] = Seq(21, 22, 23).map { seed =>
     val rnd = new Random(seed)
     val rel =
       if (seed % 2 == 0) TestUtil.randomRelationCont(rnd, 4, 4, 200)
       else TestUtil.randomRelation(rnd, 4, 4, 200)
     val second = rel.rows.map(_ => rnd.nextDouble() * 100)
-    val base = TestUtil.table(rel, targets)
-    base.copy(targetRows = rel.rows.indices.map(i => Array(rel.rows(i).target, second(i))).toArray)
+    TestUtil.table(rel, targets)
+      .copy(targetRows = rel.rows.zip(second).map { case (r, s) => Array(r.target, s) })
   }
 
   private def digest(algo: String): String = {
