@@ -61,7 +61,9 @@ object ExactSummarizer {
 
     // Appends each rank from `from` on whose bound reaches b at position i
     // (new length i + 1) to a speech with utility bound `ubound`. rankU1 is
-    // non-increasing, so the first rank that fails ends the loop.
+    // non-increasing, so the first rank that fails ends the loop. The
+    // deadline is checked every 1,024 partials and before each leaf's
+    // utility pass, which scans every row.
     def extend(i: Int, from: Int, ubound: Double): Unit = {
       val remainingFactor = m - i // m − (i + 1) + 1 facts may still count u1(new)
       var nr = from
@@ -70,6 +72,7 @@ object ExactSummarizer {
         enumerated += 1
         if ((enumerated & 0x3ff) == 0 && expired) aborted = true
         if (i + 1 < targetLen) extend(i + 1, nr + 1, ubound + rankU1(nr))
+        else if (expired) aborted = true
         else {
           // Line 13: exact utility of a full-length speech; keep the maximum.
           val u = index.utility(fids, dev0)

@@ -20,21 +20,23 @@ object FactGen {
     all.sortBy(p => (p.length, p.map(i => f"$i%04d").mkString(",")))
   }
 
-  /** One pass over the rows per pattern: each row's values within the
-    * pattern collapse to one mixed-radix key, each new key takes the next
-    * slot, and targets are summed per slot in row order. Fact ids then
-    * follow sorted keys, group after group, so they do not depend on row
-    * order; the row → slot column becomes the group's row → fact-id column.
+  /** One pass over the rows per pattern: each row's values in the
+    * pattern's columns collapse to one mixed-radix key, each new key takes
+    * the next slot, and targets are summed per slot in row order. Fact ids
+    * then follow sorted keys, group after group, so they do not depend on
+    * row order; the row → slot column becomes the group's row → fact-id
+    * column.
     */
   def build(rel: EncodedRelation, maxFactDims: Int): FactIndex = {
     val ps = patterns(rel.numDims, maxFactDims)
     val cards = rel.cards
-    val rows = rel.rows
-    val n = rows.length
+    val target = rel.target
+    val n = rel.numRows
     val facts = mutable.ArrayBuffer.empty[Fact]
     val groupStart = new Array[Int](ps.length + 1)
     val factIds = ps.indices.map { pi =>
       val p = ps(pi)
+      val cols = p.map(rel.dimCols)
       val strides = new Array[Long](p.length)
       var space = 1L
       var i = 0
@@ -48,13 +50,12 @@ object FactGen {
       var slots = 0
       var ri = 0
       while (ri < n) {
-        val r = rows(ri)
         var key = 0L
         i = 0
-        while (i < p.length) { key += r.dims(p(i)) * strides(i); i += 1 }
+        while (i < p.length) { key += cols(i)(ri) * strides(i); i += 1 }
         var s = slotOf.getOrElse(key, -1)
         if (s < 0) { s = slots; slotOf.put(key, s); keys(s) = key; slots += 1 }
-        sums(s) += r.target
+        sums(s) += target(ri)
         counts(s) += 1
         col(ri) = s
         ri += 1
@@ -99,7 +100,7 @@ final class FactIndex(
   val numPatterns: Int = patterns.length
 
   /** Target value per row and typical value per fact. */
-  private val targets: Array[Double] = rel.rows.map(_.target)
+  private val targets: Array[Double] = rel.target
   private val typical: Array[Double] = facts.iterator.map(_.typical).toArray
   private val groupOf: Array[Int] = {
     val g = new Array[Int](numFacts)

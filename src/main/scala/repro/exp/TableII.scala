@@ -35,10 +35,7 @@ object TableII {
     val style = TargetStyles.forTarget("visual")
     val rnd = new Random(seed)
 
-    def toSummary(f: Fact): SummaryFact = SummaryFact(
-      f.dims.indices.map(i =>
-        rel.dimNames(f.dims(i)) -> rel.dimValues(f.dims(i))(f.values(i))).toMap,
-      f.typical, f.support)
+    def toSummary(f: Fact): SummaryFact = SummaryFact(f.labels(rel).toMap, f.typical, f.support)
 
     def rank(facts: IndexedSeq[Fact], scale: Double): Ranked = {
       val u = Eval.utility(rel, facts, prior)

@@ -1,22 +1,26 @@
 package repro.system
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import repro.core.{EncodedRelation, EncodedRow}
+import repro.core.EncodedRelation
 
 /** A multi-target table encoded for the batch pre-processing job: dimension
-  * dictionaries shared across problems, every target column carried per row.
-  * Compact enough to broadcast (ints + doubles only), so each executor task
-  * can solve its summarization problems against local arrays.
+  * dictionaries shared across problems, one column per dimension and per
+  * target. Compact enough to broadcast (ints + doubles only), so each
+  * executor task can solve its summarization problems against local arrays.
+  *
+  * @param dimCols    per dimension, the value id of every row
+  * @param targetCols per target, the value of every row
   */
 final case class EncodedTable(
     dimNames: IndexedSeq[String],
     dimValues: IndexedSeq[IndexedSeq[String]],
     targetNames: IndexedSeq[String],
-    dimRows: Array[Array[Int]],
-    targetRows: Array[Array[Double]]) {
+    dimCols: Array[Array[Int]],
+    targetCols: Array[Array[Double]]) {
 
-  def numRows: Int = dimRows.length
+  val numRows: Int =
+    if (dimCols.nonEmpty) dimCols(0).length else targetCols.headOption.fold(0)(_.length)
 
   private def dimIdx(name: String): Int = {
     val i = dimNames.indexOf(name)
@@ -38,7 +42,7 @@ final case class EncodedTable(
     dimValues.indices.map { d =>
       val lists = Array.fill(dimValues(d).length)(Array.newBuilder[Int])
       var ri = 0
-      while (ri < numRows) { lists(dimRows(ri)(d)) += ri; ri += 1 }
+      while (ri < numRows) { lists(dimCols(d)(ri)) += ri; ri += 1 }
       lists.map(_.result())
     }.toArray
 
@@ -48,8 +52,9 @@ final case class EncodedTable(
     * (§III: query predicates plus up to `maxExtraFactDims` more).
     *
     * The matching rows come from intersecting the predicates' posting lists,
-    * so they keep table order. A value absent from the dictionary matches
-    * no row.
+    * so they keep table order; one `gather` copies their free dimension
+    * columns and the target column. A value absent from the dictionary
+    * matches no row.
     */
   def relationFor(target: String, predicates: Seq[(String, String)]): EncodedRelation = {
     val ti = targetNames.indexOf(target)
@@ -64,14 +69,8 @@ final case class EncodedTable(
       else if (preds.exists(_._2 < 0)) Array.emptyIntArray
       else preds.map { case (d, v) => postings(d)(v) }.sortBy(_.length)
         .reduceLeft(EncodedTable.intersect)
-    val rows = matching.map { ri =>
-      val dr = dimRows(ri)
-      val proj = new Array[Int](freeDims.length)
-      var j = 0
-      while (j < freeDims.length) { proj(j) = dr(freeDims(j)); j += 1 }
-      EncodedRow(proj, targetRows(ri)(ti))
-    }
-    EncodedRelation(freeDims.map(dimNames), freeDims.map(dimValues), rows)
+    EncodedRelation(freeDims.map(dimNames), freeDims.map(dimValues),
+      freeDims.map(dimCols).toArray, targetCols(ti)).gather(matching)
   }
 }
 
@@ -95,8 +94,7 @@ object EncodedTable {
 object Encoding {
 
   /** Dictionary-encode a DataFrame with one Spark job: the rows are
-    * collected to the driver once, and each dimension's dictionary is its
-    * distinct values in sorted order, so encoding is deterministic. The table
+    * collected to the driver once and encoded by [[fromRows]]. The table
     * must fit the driver, which holds for all bench scale factors (ints +
     * doubles only).
     */
@@ -104,18 +102,20 @@ object Encoding {
     val norm = df.select(
       dims.map(d => col(d).cast("string").as(d)) ++
         targets.map(t => col(t).cast("double").as(t)): _*)
-    val rows = norm.collect()
+    fromRows(norm.collect(), dims, targets)
+  }
+
+  /** Encode rows holding the `dims` as strings, then the `targets` as
+    * doubles. Each dimension's dictionary is its distinct values in sorted
+    * order, so encoding does not depend on row order.
+    */
+  def fromRows(rows: Array[Row], dims: Seq[String], targets: Seq[String]): EncodedTable = {
     val dicts = dims.indices.map(j => rows.iterator.map(_.getString(j)).distinct.toIndexedSeq.sorted)
-    val lookup = dicts.map(vs => vs.zipWithIndex.toMap)
-    val dimRows = new Array[Array[Int]](rows.length)
-    val targetRows = new Array[Array[Double]](rows.length)
-    var i = 0
-    while (i < rows.length) {
-      val r = rows(i)
-      dimRows(i) = Array.tabulate(dims.length)(j => lookup(j)(r.getString(j)))
-      targetRows(i) = Array.tabulate(targets.length)(j => r.getDouble(dims.length + j))
-      i += 1
-    }
-    EncodedTable(dims.toIndexedSeq, dicts, targets.toIndexedSeq, dimRows, targetRows)
+    val dimCols = dicts.indices.map { j =>
+      val id = dicts(j).zipWithIndex.toMap
+      rows.map(r => id(r.getString(j)))
+    }.toArray
+    val targetCols = targets.indices.map(j => rows.map(_.getDouble(dims.length + j))).toArray
+    EncodedTable(dims.toIndexedSeq, dicts, targets.toIndexedSeq, dimCols, targetCols)
   }
 }

@@ -58,12 +58,7 @@ object Preprocessor {
         val res = GreedySummarizer.summarize(index, m, prior, strategy)
         (res.speech.facts, res.speech.utility, res.baseError)
     }
-    val summaryFacts = facts.map { f =>
-      SummaryFact(
-        f.dims.indices.map(i =>
-          rel.dimNames(f.dims(i)) -> rel.dimValues(f.dims(i))(f.values(i))).toMap,
-        f.typical, f.support)
-    }
+    val summaryFacts = facts.map(f => SummaryFact(f.labels(rel).toMap, f.typical, f.support))
     val style = TargetStyles.forTarget(p.target)
     val speech = SpeechTemplates.render(style, p.predicates.toMap, summaryFacts)
     Some(Summary(p.target, p.predicates.toMap, summaryFacts, utility, baseError, speech))

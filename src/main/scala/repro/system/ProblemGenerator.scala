@@ -19,7 +19,8 @@ object ProblemGenerator {
       if (p.isEmpty) Seq(Seq.empty[(String, String)])
       else {
         val seen = scala.collection.mutable.LinkedHashSet.empty[Seq[Int]]
-        table.dimRows.foreach(dr => seen += p.toSeq.map(dr(_)))
+        val cols = p.toSeq.map(table.dimCols)
+        (0 until table.numRows).foreach(ri => seen += cols.map(_(ri)))
         seen.toSeq.sorted(Ordering.Implicits.seqOrdering[Seq, Int])
           .map(vs => p.toSeq.zip(vs).map { case (di, vi) =>
             table.dimNames(di) -> table.dimValues(di)(vi)

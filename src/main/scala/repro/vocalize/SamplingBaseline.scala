@@ -43,23 +43,23 @@ object SamplingBaseline {
     val n = rel.numRows
     require(n > 0, "cannot summarize an empty relation")
 
-    var sampled = Vector.empty[EncodedRow]
+    var sampled = Array.emptyIntArray
     val picked = IndexedSeq.newBuilder[RangeFact]
     val pickedFacts = scala.collection.mutable.ArrayBuffer.empty[Fact]
     var latency = 0L
     for (round <- 1 to m) {
       // Enlarge the sample, then rebuild estimates on it.
-      sampled = sampled ++ Vector.fill(math.min(sampleSize, n))(
-        rel.rows(rnd.nextInt(n)))
-      val sampleRel = rel.copy(rows = sampled.toArray)
+      sampled = sampled ++ Array.fill(math.min(sampleSize, n))(rnd.nextInt(n))
+      val sampleRel = rel.gather(sampled)
+      val target = sampleRel.target
       val index = FactGen.build(sampleRel, math.min(maxFactDims, rel.numDims))
       val prior = sampleRel.targetMean
       // Greedy gain of each candidate fact given already-picked sentences,
       // estimated on the sample.
-      val devs = sampleRel.rows.map { r =>
-        var d = math.abs(prior - r.target)
+      val devs = Array.tabulate(sampleRel.numRows) { ri =>
+        var d = math.abs(prior - target(ri))
         pickedFacts.foreach { f =>
-          if (f.inScope(r)) d = math.min(d, math.abs(f.typical - r.target))
+          if (f.inScope(sampleRel, ri)) d = math.min(d, math.abs(f.typical - target(ri)))
         }
         d
       }
@@ -70,9 +70,8 @@ object SamplingBaseline {
         var gain = 0.0
         var ri = 0
         while (ri < sampleRel.numRows) {
-          val r = sampleRel.rows(ri)
-          if (f.inScope(r)) {
-            val g = devs(ri) - math.abs(f.typical - r.target)
+          if (f.inScope(sampleRel, ri)) {
+            val g = devs(ri) - math.abs(f.typical - target(ri))
             if (g > 0) gain += g
           }
           ri += 1
@@ -81,11 +80,11 @@ object SamplingBaseline {
       }
       val f = index.facts(bestId)
       // 95% CI of the sample mean within scope.
-      val inScope = sampleRel.rows.filter(f.inScope)
+      val inScope = target.indices.filter(f.inScope(sampleRel, _)).map(target)
       val mean = f.typical
       val variance =
         if (inScope.length < 2) 0.0
-        else inScope.map(r => math.pow(r.target - mean, 2)).sum / (inScope.length - 1)
+        else inScope.map(t => math.pow(t - mean, 2)).sum / (inScope.length - 1)
       val half = 1.96 * math.sqrt(variance / math.max(1, inScope.length))
       picked += RangeFact(f, mean - half, mean + half)
       pickedFacts += f

@@ -28,10 +28,9 @@ object Oracle {
   def relation(name: String, rel: EncodedRelation): Table =
     Table(name,
       ("rid" -> "BIGINT") +: rel.dimNames.map(_ -> "VARCHAR") :+ ("t" -> "DOUBLE"),
-      rel.rows.toSeq.zipWithIndex.map { case (r, ri) =>
-        (ri.toLong +: r.dims.toSeq.zipWithIndex.map { case (v, d) =>
-          rel.dimValues(d)(v)
-        }) :+ r.target
+      (0 until rel.numRows).map { ri =>
+        (ri.toLong +: rel.dimNames.indices.map(d => rel.dimValues(d)(rel.dimCols(d)(ri)))) :+
+          rel.target(ri)
       })
 
   private val tolerance = 1e-9

@@ -3,8 +3,8 @@ package repro
 import scala.util.Random
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
-import repro.core.{EncodedRelation, EncodedRow}
-import repro.system.EncodedTable
+import repro.core.EncodedRelation
+import repro.system.{EncodedTable, Encoding}
 
 /** Shared helpers for building small relations in tests. */
 object TestUtil {
@@ -27,8 +27,25 @@ object TestUtil {
     val raw = cells.toSeq.sortBy(_._1).flatMap { case ((s, r), ts) =>
       ts.map(t => (IndexedSeq(s, r), t))
     }
-    EncodedRelation.encode(IndexedSeq("season", "region"), raw)
+    fromLabels(IndexedSeq("season", "region"), raw)
   }
+
+  /** Dictionary-encode string-valued rows as `Encoding.fromRows` does, with
+    * the target named "t".
+    */
+  def fromLabels(dimNames: IndexedSeq[String],
+                 raw: Seq[(IndexedSeq[String], Double)]): EncodedRelation = {
+    val rows = raw.map { case (vals, t) => Row.fromSeq(vals :+ t) }.toArray
+    Encoding.fromRows(rows, dimNames, Seq("t")).relationFor("t", Nil)
+  }
+
+  /** The relation of encoded rows given one at a time: each row's value ids
+    * per dimension, and its target.
+    */
+  def relation(dimNames: IndexedSeq[String], dimValues: IndexedSeq[IndexedSeq[String]],
+               rows: Array[(Array[Int], Double)]): EncodedRelation =
+    EncodedRelation(dimNames, dimValues,
+      Array.tabulate(dimNames.length)(d => rows.map(_._1(d))), rows.map(_._2))
 
   /** Random relation: `numDims` dimensions with cardinality ≤ maxCard,
     * integer-ish targets (ties likely — good for tie-handling coverage).
@@ -39,10 +56,9 @@ object TestUtil {
     val dimValues = cards.zipWithIndex.map { case (c, i) =>
       (0 until c).map(v => s"v${i}_$v")
     }
-    val rs = Array.fill(rows)(EncodedRow(
+    relation(dimNames, dimValues, Array.fill(rows)((
       Array.tabulate(numDims)(i => rnd.nextInt(cards(i))),
-      rnd.nextInt(100).toDouble))
-    EncodedRelation(dimNames, dimValues, rs)
+      rnd.nextInt(100).toDouble)))
   }
 
   /** Like randomRelation but with continuous targets (ties improbable) —
@@ -50,15 +66,15 @@ object TestUtil {
     */
   def randomRelationCont(rnd: Random, numDims: Int, maxCard: Int, rows: Int): EncodedRelation = {
     val base = randomRelation(rnd, numDims, maxCard, rows)
-    base.copy(rows = base.rows.map(r => r.copy(target = rnd.nextDouble() * 100)))
+    base.copy(target = base.target.map(_ => rnd.nextDouble() * 100))
   }
 
   /** The encoded table of `rel`, without Spark: same dictionaries and row
     * order, `rel`'s target repeated under each of `targets`.
     */
   def table(rel: EncodedRelation, targets: IndexedSeq[String] = IndexedSeq("t")): EncodedTable =
-    EncodedTable(rel.dimNames, rel.dimValues, targets, rel.rows.map(_.dims),
-      rel.rows.map(r => Array.fill(targets.length)(r.target)))
+    EncodedTable(rel.dimNames, rel.dimValues, targets, rel.dimCols,
+      Array.fill(targets.length)(rel.target))
 
   /** Decode an EncodedRelation back into a Spark DataFrame (dims as strings,
     * target as double), the input of `Encoding.fromDataFrame` and the batch job.
@@ -67,10 +83,8 @@ object TestUtil {
     val schema = StructType(
       rel.dimNames.map(d => StructField(d, StringType, nullable = false)) :+
         StructField(target, DoubleType, nullable = false))
-    val rows = rel.rows.toIndexedSeq.map { r =>
-      Row.fromSeq(r.dims.toIndexedSeq.zipWithIndex.map { case (v, i) =>
-        rel.dimValues(i)(v)
-      } :+ r.target)
+    val rows = (0 until rel.numRows).map { ri =>
+      Row.fromSeq(rel.dimNames.indices.map(d => rel.dimValues(d)(rel.dimCols(d)(ri))) :+ rel.target(ri))
     }
     spark.createDataFrame(
       new java.util.ArrayList[Row](scala.jdk.CollectionConverters.SeqHasAsJava(rows).asJava),

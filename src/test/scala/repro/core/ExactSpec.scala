@@ -94,13 +94,28 @@ class ExactSpec extends AnyFunSuite {
     assert(res.speech.utility == greedy.speech.utility)
   }
 
-  test("unbounded search past 2M length-m partials finishes at the bounded optimum") {
-    // 24 rows, 4 dims of 10 values, facts over all 4 dims: k = 288 facts, and
-    // with b = 0 every one of the C(k, 3) > 2,000,000 length-3 speeches is kept.
+  /** 24 rows, 4 dims of 10 values, facts over all 4 dims: k = 288 facts,
+    * and with b = 0 every one of the C(k, 3) > 2,000,000 length-3 speeches
+    * is kept.
+    */
+  private def wideInstance: EncodedRelation = {
     val rnd = new Random(6)
-    val rel = EncodedRelation(IndexedSeq("a", "b", "c", "d"),
+    TestUtil.relation(IndexedSeq("a", "b", "c", "d"),
       IndexedSeq.fill(4)((0 until 10).map(_.toString)),
-      Array.fill(24)(EncodedRow(Array.fill(4)(rnd.nextInt(10)), rnd.nextInt(100).toDouble)))
+      Array.fill(24)((Array.fill(4)(rnd.nextInt(10)), rnd.nextInt(100).toDouble)))
+  }
+
+  test("an expired deadline stops the search at its first full-length speech") {
+    val rel = wideInstance
+    val index = FactGen.build(rel, 4)
+    val res = ExactSummarizer.summarize(index, 3, rel.targetMean, None,
+      deadlineNanos = Some(System.nanoTime() - 1))
+    assert(res.timedOut)
+    assert(res.enumerated <= 3)
+  }
+
+  test("unbounded search past 2M length-m partials finishes at the bounded optimum") {
+    val rel = wideInstance
     val index = FactGen.build(rel, 4)
     val k = index.numFacts.toLong
     assert(k * (k - 1) * (k - 2) / 6 > 2_000_000)

@@ -61,10 +61,10 @@ class FactGenSpec extends AnyFunSuite {
 
   test("factIdFor returns the fact whose scope contains the row") {
     val index = FactGen.build(rel, 2)
-    rel.rows.indices.foreach { ri =>
+    rel.target.indices.foreach { ri =>
       (0 until index.numPatterns).foreach { pi =>
         val f = index.facts(index.factIdFor(pi, ri))
-        assert(f.inScope(rel.rows(ri)))
+        assert(f.inScope(rel, ri))
         assert(f.dims.toSeq == index.patterns(pi).toSeq)
       }
     }
@@ -108,9 +108,9 @@ class FactGenSpec extends AnyFunSuite {
       val r = TestUtil.randomRelation(new Random(i), 3, 3, 50)
       val index = FactGen.build(r, 2)
       index.facts.foreach { f =>
-        val inScope = r.rows.filter(f.inScope)
+        val inScope = r.target.indices.filter(f.inScope(r, _)).map(r.target)
         assert(inScope.length == f.support)
-        val mean = inScope.map(_.target).sum / inScope.length
+        val mean = inScope.sum / inScope.length
         assert(math.abs(mean - f.typical) < 1e-9)
       }
       assert(rnd.nextInt(2) >= 0) // keep rnd used

@@ -23,16 +23,16 @@ class KernelEquivalenceSpec extends AnyFunSuite {
     var done = false
     while (picked.length < m && !done) {
       val facts = picked.map(index.facts).toSeq
-      val dev = rel.rows.map(r => math.abs(Eval.expectation(facts, r, prior) - r.target))
+      val dev = rel.target.indices.map(ri =>
+        math.abs(Eval.expectation(facts, rel, ri, prior) - rel.target(ri)))
       var best = -1
       var bestGain = 0.0
       index.facts.indices.foreach { fid =>
         val f = index.facts(fid)
         var gain = 0.0
-        rel.rows.indices.foreach { ri =>
-          val r = rel.rows(ri)
-          if (f.inScope(r)) {
-            val g = dev(ri) - math.abs(f.typical - r.target)
+        rel.target.indices.foreach { ri =>
+          if (f.inScope(rel, ri)) {
+            val g = dev(ri) - math.abs(f.typical - rel.target(ri))
             if (g > 0) gain += g
           }
         }
@@ -86,7 +86,7 @@ class KernelEquivalenceSpec extends AnyFunSuite {
 
   test("a constant target selects nothing under every strategy") {
     val rel = TestUtil.randomRelation(new Random(7), 3, 3, 40)
-    val flat = rel.copy(rows = rel.rows.map(_.copy(target = 4.0)))
+    val flat = rel.copy(target = rel.target.map(_ => 4.0))
     assertMatchesReference(flat, 3, "constant")
     strategies.foreach { case (name, strategy) =>
       val res = GreedySummarizer.summarizeRelation(flat, 2, 3, strategy)
@@ -102,7 +102,7 @@ class KernelEquivalenceSpec extends AnyFunSuite {
   }
 
   test("exact equals brute force on constant, single-row and tied relations") {
-    val flat = TestUtil.paperGrid.copy(rows = TestUtil.paperGrid.rows.map(_.copy(target = 3.0)))
+    val flat = TestUtil.paperGrid.copy(target = Array.fill(4)(3.0))
     val one = TestUtil.grid(Map(("S", "N") -> Seq(42.0)))
     val tied = (0 until 20).map(seed => TestUtil.randomRelation(new Random(seed + 1200), 2, 3, 15))
     (Seq(flat, one) ++ tied).zipWithIndex.foreach { case (rel, i) =>

@@ -10,6 +10,7 @@ import repro.TestUtil
 class ModelSpec extends AnyFunSuite {
 
   private val rel = TestUtil.paperGrid
+  private val rows = 0 until rel.numRows
   private def fact(scope: Seq[(String, String)], typical: Double): Fact = {
     val dims = scope.map { case (d, _) => rel.dimNames.indexOf(d) }
     val values = scope.zip(dims).map { case ((_, v), di) => rel.dimValues(di).indexOf(v) }
@@ -24,7 +25,7 @@ class ModelSpec extends AnyFunSuite {
 
   test("encode preserves row count and targets") {
     assert(rel.numRows == 4)
-    assert(rel.rows.map(_.target).sorted.toSeq == Seq(10.0, 10.0, 10.0, 20.0))
+    assert(rel.target.sorted.toSeq == Seq(10.0, 10.0, 10.0, 20.0))
   }
 
   test("cards reflect dictionary sizes") {
@@ -36,35 +37,34 @@ class ModelSpec extends AnyFunSuite {
   }
 
   test("filter keeps only rows matching all predicates") {
-    val winter = rel.filter(Seq((0, rel.dimValues(0).indexOf("Winter"))))
+    val winter = TestUtil.table(rel).relationFor("t", Seq("season" -> "Winter"))
     assert(winter.numRows == 2)
-    assert(winter.rows.forall(_.target == 10.0))
+    assert(winter.target.forall(_ == 10.0))
   }
 
   test("filter with two predicates isolates one cell") {
-    val cell = rel.filter(Seq(
-      (0, rel.dimValues(0).indexOf("Summer")),
-      (1, rel.dimValues(1).indexOf("South"))))
-    assert(cell.numRows == 1 && cell.rows(0).target == 20.0)
+    val cell = TestUtil.table(rel).relationFor("t", Seq("season" -> "Summer", "region" -> "South"))
+    assert(cell.numRows == 1 && cell.target(0) == 20.0)
   }
 
   test("filter on non-matching predicate yields empty relation") {
-    assert(rel.filter(Seq((0, 0), (0, 1))).numRows == 0)
+    val none = TestUtil.table(rel).relationFor("t", Seq("season" -> "Summer", "season" -> "Winter"))
+    assert(none.numRows == 0)
   }
 
   test("fact inScope matches rows consistent on restricted dims") {
     val f = fact(Seq("season" -> "Winter"), 10.0)
-    assert(rel.rows.count(f.inScope) == 2)
+    assert(rows.count(f.inScope(rel, _)) == 2)
   }
 
   test("empty-scope fact covers every row") {
     val f = fact(Nil, 12.5)
-    assert(rel.rows.forall(f.inScope))
+    assert(rows.forall(f.inScope(rel, _)))
   }
 
   test("two-dim fact covers exactly its cell") {
     val f = fact(Seq("season" -> "Summer", "region" -> "South"), 20.0)
-    assert(rel.rows.count(f.inScope) == 1)
+    assert(rows.count(f.inScope(rel, _)) == 1)
   }
 
   test("describeScope renders 'overall' for the empty scope") {
@@ -78,28 +78,29 @@ class ModelSpec extends AnyFunSuite {
 
   test("expectation equals prior when no fact is in scope") {
     val f = fact(Seq("season" -> "Winter"), 10.0)
-    val summerSouth = rel.rows.find(_.target == 20.0).get
-    assert(Eval.expectation(Seq(f), summerSouth, 0.0) == 0.0)
+    val summerSouth = rel.target.indexOf(20.0)
+    assert(Eval.expectation(Seq(f), rel, summerSouth, 0.0) == 0.0)
   }
 
   test("expectation equals typical value of the single in-scope fact when closer") {
     val f = fact(Seq("season" -> "Winter"), 12.0)
-    val winterRow = rel.rows.find(r => f.inScope(r)).get
-    assert(Eval.expectation(Seq(f), winterRow, 0.0) == 12.0)
+    val winterRow = rows.find(f.inScope(rel, _)).get
+    assert(Eval.expectation(Seq(f), rel, winterRow, 0.0) == 12.0)
   }
 
   test("expectation picks value closest to the true target among candidates (Def. 4)") {
     val far = fact(Seq("season" -> "Summer"), 100.0)
     val near = fact(Seq("region" -> "South"), 18.0)
-    val summerSouth = rel.rows.find(_.target == 20.0).get
-    assert(Eval.expectation(Seq(far, near), summerSouth, 0.0) == 18.0)
+    val summerSouth = rel.target.indexOf(20.0)
+    assert(Eval.expectation(Seq(far, near), rel, summerSouth, 0.0) == 18.0)
   }
 
   test("prior is always a candidate, even with in-scope facts (Def. 4)") {
     val f = fact(Seq("season" -> "Summer"), 100.0)
-    val summerNorth = rel.filter(Seq((0, 0), (1, 0))).rows(0)
+    val cell = fact(Seq("season" -> "Summer", "region" -> "North"), 0.0)
+    val summerNorth = rows.find(cell.inScope(rel, _)).get
     // prior 9 is closer to the true 10 than the fact's 100
-    assert(Eval.expectation(Seq(f), summerNorth, 9.0) == 9.0)
+    assert(Eval.expectation(Seq(f), rel, summerNorth, 9.0) == 9.0)
   }
 
   test("D(∅) under zero prior sums absolute targets") {

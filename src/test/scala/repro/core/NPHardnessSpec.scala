@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 
 /** Exercises the Theorem 4 reduction: set cover → speech summarization.
   * A universe U is coverable by m subsets iff the constructed summarization
@@ -20,7 +21,7 @@ class NPHardnessSpec extends AnyFunSuite {
       (subsets.indices.map(i => if (subsets(i).contains(e)) "in" else "out")
         .toIndexedSeq, 1.0)
     }
-    val rel = EncodedRelation.encode(dimNames, raw)
+    val rel = TestUtil.fromLabels(dimNames, raw)
     val facts = subsets.indices.map { i =>
       val vi = rel.dimValues(i).indexOf("in")
       Fact(Array(i), Array(vi), 1.0, subsets(i).size.toLong)
@@ -61,7 +62,7 @@ class NPHardnessSpec extends AnyFunSuite {
   test("each reduction fact covers exactly its subset's rows") {
     val (rel, facts) = reduction(universe, subsets)
     subsets.indices.foreach { i =>
-      assert(rel.rows.count(facts(i).inScope) == subsets(i).size)
+      assert(rel.target.indices.count(facts(i).inScope(rel, _)) == subsets(i).size)
     }
   }
 

@@ -78,7 +78,7 @@ class DfFactsSpec extends AnyFunSuite {
     forEachRelation { rel =>
       val index = FactGen.build(rel, maxFactDims)
       // One fact per scope pattern covers each row.
-      val pairs = for (ri <- rel.rows.indices; pi <- 0 until index.numPatterns)
+      val pairs = for (ri <- rel.target.indices; pi <- 0 until index.numPatterns)
         yield ri.toLong +: scopeCells(rel, index.facts(index.factIdFor(pi, ri)))
       Oracle.assertEquivalent(pairs,
         s"""SELECT r.rid, ${scopeCols(rel.dimNames, "f")}
@@ -111,10 +111,10 @@ class DfFactsSpec extends AnyFunSuite {
       Oracle.assertEquivalent(
         wheres.flatMap { case ((preds, _), q) =>
           val sub = table.relationFor("t", preds)
-          sub.rows.toSeq.map(r => (q +: dims.map { d =>
+          sub.target.indices.map(ri => (q +: dims.map { d =>
             val i = sub.dimNames.indexOf(d)
-            if (i < 0) null else sub.dimValues(i)(r.dims(i))
-          }) :+ r.target)
+            if (i < 0) null else sub.dimValues(i)(sub.dimCols(i)(ri))
+          }) :+ sub.target(ri))
         },
         wheres.map { case ((preds, where), q) =>
           val cols = dims.map(d =>

@@ -24,20 +24,20 @@ class EncodingSpec extends SparkSpec {
     val r = table.relationFor("t", Nil)
     assert(r.numRows == 4)
     assert(r.numDims == 2)
-    assert(r.rows.map(_.target).sorted.toSeq == Seq(10.0, 10.0, 10.0, 20.0))
+    assert(r.target.sorted.toSeq == Seq(10.0, 10.0, 10.0, 20.0))
   }
 
   test("relationFor filters by predicates and projects them away") {
     val r = table.relationFor("t", Seq("season" -> "Winter"))
     assert(r.numRows == 2)
     assert(r.dimNames == IndexedSeq("region"))
-    assert(r.rows.forall(_.target == 10.0))
+    assert(r.target.forall(_ == 10.0))
   }
 
   test("relationFor with two predicates leaves no free dims") {
     val r = table.relationFor("t", Seq("season" -> "Summer", "region" -> "South"))
     assert(r.numRows == 1 && r.numDims == 0)
-    assert(r.rows(0).target == 20.0)
+    assert(r.target(0) == 20.0)
   }
 
   test("relationFor on a value absent from the data yields empty") {
@@ -50,23 +50,25 @@ class EncodingSpec extends SparkSpec {
     val used = IndexedSeq(3, 4, 2)
     // Dimension b's dictionary holds a fifth value that no row takes.
     val dicts = IndexedSeq(3, 5, 2).zipWithIndex.map { case (c, i) => (0 until c).map(v => s"v${i}_$v") }
+    // Drawn row by row, stored column by column.
     val t = EncodedTable(IndexedSeq("a", "b", "c"), dicts, IndexedSeq("x", "y"),
-      Array.fill(200)(Array.tabulate(3)(i => rnd.nextInt(used(i)))),
-      Array.fill(200)(Array.fill(2)(rnd.nextDouble())))
+      Array.fill(200)(Array.tabulate(3)(i => rnd.nextInt(used(i)))).transpose,
+      Array.fill(200)(Array.fill(2)(rnd.nextDouble())).transpose)
     def scan(target: String, preds: Seq[(String, String)]) = {
       val ti = t.targetNames.indexOf(target)
       val ps = preds.map { case (d, v) => val di = t.dimNames.indexOf(d); (di, t.dimValues(di).indexOf(v)) }
       val free = t.dimNames.indices.filterNot(i => ps.exists(_._1 == i))
-      val rows = t.dimRows.indices
-        .filter(ri => ps.forall { case (d, v) => t.dimRows(ri)(d) == v })
-        .map(ri => (free.map(t.dimRows(ri)(_)), t.targetRows(ri)(ti)))
+      val rows = (0 until t.numRows)
+        .filter(ri => ps.forall { case (d, v) => t.dimCols(d)(ri) == v })
+        .map(ri => (free.map(t.dimCols(_)(ri)), t.targetCols(ti)(ri)))
       (free.map(t.dimNames), free.map(t.dimValues), rows)
     }
     val singles = for (d <- t.dimNames.indices; v <- dicts(d)) yield Seq(t.dimNames(d) -> v)
     val pairs = for (Seq(a) <- singles; Seq(b) <- singles if a._1 < b._1) yield Seq(a, b)
     for (target <- t.targetNames; preds <- Seq(Nil) ++ singles ++ pairs) {
       val r = t.relationFor(target, preds)
-      val got = (r.dimNames, r.dimValues, r.rows.toSeq.map(row => (row.dims.toSeq, row.target)))
+      val got = (r.dimNames, r.dimValues,
+        (0 until r.numRows).map(ri => (r.dimCols.toSeq.map(_(ri)), r.target(ri))))
       assert(got == scan(target, preds), s"$target $preds")
     }
   }
@@ -86,7 +88,8 @@ class EncodingSpec extends SparkSpec {
     val spec = VoiceData.AcsNY
     val t = Encoding.fromDataFrame(spec.df(spark, 0.01), spec.dims, spec.targets)
     assert(t.targetNames == spec.targets.toIndexedSeq)
-    assert(t.targetRows.forall(_.length == spec.targets.length))
+    assert(t.targetCols.length == spec.targets.length)
+    assert(t.targetCols.forall(_.length == t.numRows))
     val visual = t.relationFor("visual", Nil)
     val hearing = t.relationFor("hearing", Nil)
     assert(visual.numRows == hearing.numRows)

@@ -26,9 +26,8 @@ class SpeechDigestSpec extends AnyFunSuite {
     val rel =
       if (seed % 2 == 0) TestUtil.randomRelationCont(rnd, 4, 4, 200)
       else TestUtil.randomRelation(rnd, 4, 4, 200)
-    val second = rel.rows.map(_ => rnd.nextDouble() * 100)
-    TestUtil.table(rel, targets)
-      .copy(targetRows = rel.rows.zip(second).map { case (r, s) => Array(r.target, s) })
+    val second = rel.target.map(_ => rnd.nextDouble() * 100)
+    TestUtil.table(rel, targets).copy(targetCols = Array(rel.target, second))
   }
 
   private def digest(algo: String): String = {

@@ -55,16 +55,39 @@ class SamplingBaselineSpec extends AnyFunSuite {
     assert(width(large) <= width(small) + 1e-9)
   }
 
+  test("seeded runs keep their picks, range bits and midpoint utility") {
+    // Pinned scopes, raw bits of lo and hi, and raw bits of the midpoint
+    // utility: how the baseline stores its sample must not change which
+    // rows it draws, so Fig. 10 and Fig. 11 stay put.
+    def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
+    val cases = Seq(
+      (rel, 100, 5L, Seq(
+        ("d2=v2_1", 0x404683dbd9f3a618L, 0x404e9cb91815a908L),
+        ("d1=v1_1 ∧ d2=v2_0", 0x40422ed35506aa02L, 0x4049912caaf955feL),
+        ("d1=v1_0 ∧ d2=v2_0", 0x40468a13d0459fa4L, 0x404e325df6d6d224L)),
+        0x409326725e0ae218L),
+      (TestUtil.randomRelationCont(new Random(3), 3, 4, 300), 40, 9L, Seq(
+        ("d1=v1_0", 0x40476ec9f78478ccL, 0x4055050095800278L),
+        ("d0=v0_2 ∧ d1=v1_1", 0x40245e38e37dc295L, 0x4043704342b6b06fL),
+        ("d0=v0_1 ∧ d1=v1_1", 0x404446e322a1af72L, 0x4052138cea51aaf4L)),
+        0x40924940df17bf34L))
+    cases.foreach { case (r, sampleSize, seed, picks, utility) =>
+      val res = SamplingBaseline.summarize(r, 2, 3, sampleSize, seed)
+      assert(res.facts.map(rf => (rf.fact.describeScope(r), bits(rf.lo), bits(rf.hi))) == picks)
+      assert(bits(res.utility(r, r.targetMean)) == utility)
+    }
+  }
+
   test("rejects empty relations") {
     intercept[IllegalArgumentException] {
-      SamplingBaseline.summarize(rel.copy(rows = Array.empty), 2, 3, 10, 1)
+      SamplingBaseline.summarize(rel.gather(Array.emptyIntArray), 2, 3, 10, 1)
     }
   }
 
   test("works on a zero-dimension relation (single scope)") {
     val sub = rel.copy(dimNames = IndexedSeq.empty,
       dimValues = IndexedSeq.empty,
-      rows = rel.rows.map(r => r.copy(dims = Array.empty)))
+      dimCols = Array.empty)
     val res = SamplingBaseline.summarize(sub, 0, 2, 50, seed = 2)
     assert(res.facts.nonEmpty)
   }
