@@ -46,9 +46,12 @@ object ServeQueryJob {
     QueryClassifier.classify(text, vocab) match {
       case RequestType.SQuery =>
         val q = QueryClassifier.parse(text, vocab).get
-        engine.lookup(q.target, q.predicates) match {
-          case Some(s) => println(s.speech)
-          case None => println("No summary is available for that query.")
+        engine.resolve(q.target, q.predicates) match {
+          case Resolution.Exact(s) => println(s.speech)
+          case Resolution.Fallback(s, dropped) =>
+            println(s"(Answered for a broader subset: $dropped predicate(s) dropped.)")
+            println(s.speech)
+          case Resolution.Miss => println("No summary is available for that query.")
         }
       case RequestType.Help =>
         println("Ask for an average value, optionally restricted by up to two dimensions.")

@@ -18,6 +18,8 @@ import repro.vocalize.SamplingBaseline
   */
 object Fig10 {
 
+  val LookupRounds = 1000
+
   final case class Row(
       dataset: String,
       numQueries: Int,
@@ -44,11 +46,14 @@ object Fig10 {
       val probs = rnd.shuffle(ProblemGenerator.problems(table, config))
         .take(sampleQueries)
 
-      // Our run-time cost: the lookup itself (one warm-up round for JIT).
-      probs.foreach(p => engine.lookup(p.target, p.predicates.toMap))
+      // Our run-time cost: the lookup itself, timed over `LookupRounds`
+      // rounds after as many warm-up rounds, so the JIT has compiled it.
+      def lookups(): Unit = (1 to LookupRounds).foreach(_ =>
+        probs.foreach(p => engine.lookup(p.target, p.predicates.toMap)))
+      lookups()
       val lookupStart = System.nanoTime()
-      probs.foreach(p => engine.lookup(p.target, p.predicates.toMap))
-      val lookupMicros = (System.nanoTime() - lookupStart) / 1e3 / probs.length
+      lookups()
+      val lookupMicros = (System.nanoTime() - lookupStart) / 1e3 / probs.length / LookupRounds
 
       // Baseline: sampling at query time over the queried subset.
       val baseRuns = probs.flatMap { p =>

@@ -19,7 +19,26 @@ object RequestType {
   */
 final case class Vocabulary(
     targetSynonyms: Map[String, Seq[String]],
-    dimValues: Map[String, Seq[String]])
+    dimValues: Map[String, Seq[String]]) {
+
+  /** Per target, each synonym as the classifier looks for it in normalized
+    * text: alone, and with a plural "s".
+    */
+  @transient private[system] lazy val synonymNeedles: Seq[(String, Seq[(String, String)])] =
+    targetSynonyms.toSeq.map { case (t, syns) =>
+      t -> syns.map(s => (" " + s.toLowerCase + " ", " " + s.toLowerCase + "s "))
+    }
+
+  /** Per dimension in name order, each value with the normalized form the
+    * classifier looks for. Single-character values (e.g. pollster grades
+    * "A".."D") collide with ordinary words ("a") and are never reliable
+    * speech evidence, so they are left out.
+    */
+  @transient private[system] lazy val valueNeedles: Seq[(String, Seq[(String, String)])] =
+    dimValues.toSeq.sortBy(_._1).map { case (d, vals) =>
+      d -> vals.map(v => (v, QueryClassifier.normalize(v))).filter(_._2.trim.length >= 2)
+    }
+}
 
 object Vocabulary {
 
@@ -85,24 +104,28 @@ object QueryClassifier {
     "least ", "best", "worst", "compare", "comparison", "versus", " vs ",
     "difference between", "flight number", "specific flight")
 
-  private def normalize(text: String): String =
-    " " + text.toLowerCase.replaceAll("[^a-z0-9 ]", " ").replaceAll("\\s+", " ").trim + " "
+  private val NonAlnum = "[^a-z0-9 ]".r
+  private val Spaces = "\\s+".r
+
+  /** Lowercase, blank everything but letters and digits, collapse spaces,
+    * and pad with one space on each side.
+    */
+  private[system] def normalize(text: String): String =
+    " " + Spaces.replaceAllIn(NonAlnum.replaceAllIn(text.toLowerCase, " "), " ").trim + " "
 
   /** Extract target + predicates, if the text maps to a supported query. */
-  def parse(text: String, vocab: Vocabulary, maxQueryLen: Int = 2): Option[ParsedQuery] = {
-    val norm = normalize(text)
-    val target = vocab.targetSynonyms
+  def parse(text: String, vocab: Vocabulary, maxQueryLen: Int = 2): Option[ParsedQuery] =
+    parseNormalized(normalize(text), vocab, maxQueryLen)
+
+  private def parseNormalized(norm: String, vocab: Vocabulary, maxQueryLen: Int): Option[ParsedQuery] = {
+    val target = vocab.synonymNeedles
       .flatMap { case (t, syns) =>
-        syns.filter(s => norm.contains(" " + s.toLowerCase + " ") ||
-          norm.contains(" " + s.toLowerCase + "s ")).map(s => (t, s.length))
+        syns.collect { case (one, plural) if norm.contains(one) || norm.contains(plural) => (t, one.length) }
       }
-      .toSeq.sortBy(-_._2).headOption.map(_._1)
-    // Single-character values (e.g. pollster grades "A".."D") collide with
-    // ordinary words ("a") and are never reliable speech evidence.
-    val preds = vocab.dimValues.toSeq.sortBy(_._1).flatMap { case (d, vals) =>
-      vals.filter(v => v.length >= 2 &&
-        norm.contains(" " + v.toLowerCase + " ")).map(d -> _)
-    }.groupBy(_._1).map { case (d, vs) => d -> vs.head._2 }
+      .sortBy(-_._2).headOption.map(_._1)
+    val preds = vocab.valueNeedles.flatMap { case (d, vals) =>
+      vals.collectFirst { case (v, needle) if norm.contains(needle) => d -> v }
+    }.toMap
     target match {
       case Some(t) if preds.size <= maxQueryLen => Some(ParsedQuery(t, preds))
       case _ => None
@@ -116,13 +139,12 @@ object QueryClassifier {
     else {
       val unsupported = unsupportedWords.exists(w =>
         norm.contains(if (w.startsWith(" ")) w else " " + w))
-      parse(text, vocab, maxQueryLen) match {
+      parseNormalized(norm, vocab, maxQueryLen) match {
         case Some(_) if !unsupported => RequestType.SQuery
         case Some(_) => RequestType.UQuery
         case None =>
-          val mentionsData = vocab.dimValues.values.flatten
-            .exists(v => v.length >= 2 &&
-              norm.contains(" " + v.toLowerCase + " ")) || unsupported
+          val mentionsData = unsupported ||
+            vocab.valueNeedles.exists(_._2.exists { case (_, needle) => norm.contains(needle) })
           if (mentionsData) RequestType.UQuery else RequestType.Other
       }
     }

@@ -79,6 +79,16 @@ class QueryClassifierSpec extends AnyFunSuite {
     assert(q.predicates == Map("age_group" -> "elder", "borough" -> "Brooklyn"))
   }
 
+  test("values with punctuation are matched") {
+    val q = QueryClassifier.parse("what is the salary for 25-34", soVocab).get
+    assert(q.target == "salary" && q.predicates == Map("age_group" -> "25-34"))
+    val r = QueryClassifier.parse("what is the salary for 55+ and 5000+", soVocab).get
+    assert(r.predicates == Map("age_group" -> "55+", "org_size" -> "5000+"))
+    val o = QueryClassifier.parse("job satisfaction for 100-499 in Germany", soVocab).get
+    assert(o.predicates == Map("org_size" -> "100-499", "country" -> "Germany"))
+    assert(QueryClassifier.classify("what is the salary for 25-34", soVocab) == SQuery)
+  }
+
   test("parse is case-insensitive") {
     val q = QueryClassifier.parse("DELAYS IN WINTER", flightsVocab)
     assert(q.exists(_.target == "delay"))
